@@ -45,33 +45,57 @@ type Snapshot struct {
 
 // Snapshot captures the machine.
 func (m *Machine) Snapshot() *Snapshot {
-	s := &Snapshot{
-		r:             m.r,
-		sp:            m.sp,
-		lr:            m.lr,
-		spsr:          m.spsr,
-		pc:            m.pc,
-		cpsr:          m.cpsr,
-		scrNS:         m.scrNS,
-		ttbr0:         m.ttbr0,
-		ttbr1:         m.ttbr1,
-		vbar:          m.vbar,
-		mvbar:         m.mvbar,
-		irqCountdown:  m.irqCountdown,
-		irqPending:    m.irqPending,
-		fiqPending:    m.fiqPending,
-		retired:       m.retired,
-		insnClass:     m.insnClass,
-		memory:        m.Phys.Snapshot(),
-		rng:           m.RNG.State(),
-		cycles:        m.Cyc.Total(),
-		tlbConsistent: m.TLB.Consistent(),
-		ptPages:       make(map[uint32]bool, len(m.ptPages)),
+	s := &Snapshot{memory: m.Phys.Snapshot()}
+	m.capture(s)
+	return s
+}
+
+// Rebase makes s capture the machine's current state, updating it in
+// place: memory through mem.Physical.Rebase (only the pages dirtied since
+// s was captured or last restored are copied), every other field exactly
+// as Snapshot records it. It returns false, leaving s untouched, when s is
+// no longer memory's dirty-tracking baseline — another snapshot, restore
+// or import has happened since — and the caller should take a fresh
+// Snapshot instead. Anyone else holding s sees the new state, so only a
+// snapshot's sole owner may rebase it.
+func (m *Machine) Rebase(s *Snapshot) bool {
+	if s == nil || s.memory == nil || !m.Phys.Rebase(s.memory) {
+		return false
+	}
+	m.capture(s)
+	return true
+}
+
+// capture copies every non-memory field into s — the one definition of
+// what a snapshot records, shared by Snapshot and Rebase.
+func (m *Machine) capture(s *Snapshot) {
+	s.r = m.r
+	s.sp = m.sp
+	s.lr = m.lr
+	s.spsr = m.spsr
+	s.pc = m.pc
+	s.cpsr = m.cpsr
+	s.scrNS = m.scrNS
+	s.ttbr0 = m.ttbr0
+	s.ttbr1 = m.ttbr1
+	s.vbar = m.vbar
+	s.mvbar = m.mvbar
+	s.irqCountdown = m.irqCountdown
+	s.irqPending = m.irqPending
+	s.fiqPending = m.fiqPending
+	s.retired = m.retired
+	s.insnClass = m.insnClass
+	s.rng = m.RNG.State()
+	s.cycles = m.Cyc.Total()
+	s.tlbConsistent = m.TLB.Consistent()
+	if s.ptPages == nil {
+		s.ptPages = make(map[uint32]bool, len(m.ptPages))
+	} else {
+		clear(s.ptPages)
 	}
 	for k, v := range m.ptPages {
 		s.ptPages[k] = v
 	}
-	return s
 }
 
 // Restore rewinds the machine to the snapshot. The snapshot must come from

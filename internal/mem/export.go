@@ -69,23 +69,25 @@ func (p *Physical) ExportPage(secure bool, page uint32) (PageImage, error) {
 // then the given pages are written. Bookkeeping follows full-restore
 // semantics — every page version bumps, dirty bits clear, tamper poison
 // clears, and the delta-restore generation is burned so no stale snapshot
-// can delta-restore over the imported image.
+// can delta-restore over the imported image. Every page index is checked
+// before anything is written: an invalid import returns an error and
+// leaves memory and its bookkeeping untouched.
 func (p *Physical) ImportPages(pages []PageImage) error {
-	for i := range p.insecure {
-		p.insecure[i] = 0
-	}
-	for i := range p.secure {
-		p.secure[i] = 0
+	region := func(secure bool) []uint32 {
+		if secure {
+			return p.secure
+		}
+		return p.insecure
 	}
 	for _, img := range pages {
-		words := p.insecure
-		if img.Secure {
-			words = p.secure
-		}
-		if int(img.Page) >= len(words)/PageWords {
+		if int(img.Page) >= len(region(img.Secure))/PageWords {
 			return fmt.Errorf("mem: import of page %d out of range", img.Page)
 		}
-		copy(words[img.Page*PageWords:(img.Page+1)*PageWords], img.Words[:])
+	}
+	clear(p.insecure)
+	clear(p.secure)
+	for _, img := range pages {
+		copy(region(img.Secure)[img.Page*PageWords:], img.Words[:])
 	}
 	p.tampered = nil
 	bumpAll(p.verIns)

@@ -20,6 +20,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 )
 
@@ -405,8 +406,8 @@ func (p *Physical) ZeroPage(base uint32, w World) error {
 type MemSnapshot struct {
 	insecure []uint32
 	secure   []uint32
-	// tampered is nil when no word was poisoned at capture time — the
-	// common case — so restores of clean snapshots allocate nothing.
+	// tampered is nil or empty when no word was poisoned at capture time
+	// — the common case — so restores of clean snapshots allocate nothing.
 	tampered map[uint32]bool
 
 	owner *Physical
@@ -422,12 +423,7 @@ func (p *Physical) Snapshot() *MemSnapshot {
 		secure:   append([]uint32(nil), p.secure...),
 		owner:    p,
 	}
-	if len(p.tampered) > 0 {
-		s.tampered = make(map[uint32]bool, len(p.tampered))
-		for k, v := range p.tampered {
-			s.tampered[k] = v
-		}
-	}
+	copyTamper(&s.tampered, p.tampered)
 	p.genCtr++
 	p.gen = p.genCtr
 	s.gen = p.gen
@@ -482,29 +478,53 @@ func (p *Physical) Restore(s *MemSnapshot) error {
 	p.stats.LastWordsCopied = words
 	p.stats.LastPagesCopied = pages
 
-	// Reconcile integrity poison without allocating when both sides are
-	// clean (the overwhelmingly common case).
-	switch {
-	case len(s.tampered) == 0:
-		if len(p.tampered) > 0 {
-			clear(p.tampered)
-		}
-	default:
-		if p.tampered == nil {
-			p.tampered = make(map[uint32]bool, len(s.tampered))
-		} else {
-			clear(p.tampered)
-		}
-		for k, v := range s.tampered {
-			p.tampered[k] = v
-		}
-	}
+	copyTamper(&p.tampered, s.tampered)
 	return nil
 }
 
-// copyDirty copies every dirty page from src back into dst, bumping the
-// copied pages' versions (their contents change now), and returns the
-// number of pages copied.
+// copyTamper makes *dst hold exactly src's integrity poison, reusing
+// *dst's map and allocating nothing when src is clean (the
+// overwhelmingly common case).
+func copyTamper(dst *map[uint32]bool, src map[uint32]bool) {
+	switch {
+	case len(src) == 0:
+		clear(*dst)
+	case *dst == nil:
+		*dst = maps.Clone(src)
+	default:
+		clear(*dst)
+		maps.Copy(*dst, src)
+	}
+}
+
+// Rebase makes live memory the content of s without a full copy: when s
+// is this Physical's current dirty-tracking baseline, only the pages
+// dirtied since are copied into s (and the tamper map replaces s's). A
+// fresh generation is then burned and stamped on s, and the dirty bits
+// clear, exactly as if Snapshot had been taken — but s is updated in
+// place, so the caller must own it outright. Burning the generation
+// matters: anything keyed on the old one (a cached replay baseline, say)
+// must not survive the rebase. Memory itself is not written, so page
+// versions are unchanged. When s is not the current baseline Rebase
+// returns false and changes nothing; take a Snapshot instead.
+func (p *Physical) Rebase(s *MemSnapshot) bool {
+	if s.owner != p || s.gen != p.gen {
+		return false
+	}
+	copyDirty(s.insecure, p.insecure, p.dirtyIns, nil)
+	copyDirty(s.secure, p.secure, p.dirtySec, nil)
+	copyTamper(&s.tampered, p.tampered)
+	p.genCtr++
+	p.gen = p.genCtr
+	s.gen = p.gen
+	clearBits(p.dirtyIns)
+	clearBits(p.dirtySec)
+	return true
+}
+
+// copyDirty copies every dirty page from src into dst and returns the
+// number of pages copied. When ver is non-nil the copied pages' versions
+// bump (dst is live memory whose contents change now).
 func copyDirty(dst, src []uint32, dirty []uint64, ver []uint64) uint64 {
 	var pages uint64
 	for wi, bits := range dirty {
@@ -513,7 +533,9 @@ func copyDirty(dst, src []uint32, dirty []uint64, ver []uint64) uint64 {
 			pg := uint32(wi)<<6 | uint32(trailingZeros64(bits))
 			off := int(pg) * PageWords
 			copy(dst[off:off+PageWords], src[off:off+PageWords])
-			ver[pg]++
+			if ver != nil {
+				ver[pg]++
+			}
 			pages++
 			bits ^= b
 		}

@@ -130,13 +130,18 @@ func (w *Worker) Epoch() int { return w.epoch }
 // Uses counts checkouts since the worker last booted.
 func (w *Worker) Uses() int { return w.uses }
 
-// Rebase re-captures the golden snapshot from the worker's current
-// state, making it the new restore point, and resets the epoch counter.
-// Call while the worker is checked out — e.g. after restoring an enclave
-// checkpoint onto it — so OK releases rewind to the rebased state rather
-// than the boot-time golden.
+// Rebase makes the worker's current state its restore point and resets
+// the epoch counter. Call while the worker is checked out — e.g. after
+// sealing or restoring an enclave checkpoint — so OK releases rewind to
+// the rebased state rather than the boot-time golden. The golden snapshot
+// is updated in place with only the pages dirtied since it was last
+// restored or rebased; that is safe because it never leaves the Worker.
+// Only when something else has re-baselined the board's memory since
+// does Rebase fall back to a full snapshot.
 func (w *Worker) Rebase() {
-	w.golden = w.sys.Snapshot()
+	if !w.sys.Rebase(w.golden) {
+		w.golden = w.sys.Snapshot()
+	}
 	w.epoch = 0
 }
 

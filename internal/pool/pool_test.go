@@ -388,6 +388,35 @@ func TestRebase(t *testing.T) {
 		t.Fatalf("second restore = %d, want 2", c)
 	}
 	p.Put(w, OK)
+
+	// The durable steady state: sign, seal a checkpoint, rebase and keep
+	// the worker, with stateless requests released OK in between. Every
+	// rebase must fold into the golden snapshot in place: no full
+	// snapshot is ever taken and every restore stays a delta.
+	phys := w.sys.Machine().Phys
+	before := phys.RestoreStats()
+	for want := uint32(2); want < 10; want++ {
+		w = get(t, p)
+		if c := notarise(t, w); c != want {
+			t.Fatalf("durable sign = %d, want %d", c, want)
+		}
+		if _, err := w.System().CheckpointEnclave(w.State().(*komodo.Enclave)); err != nil {
+			t.Fatal(err)
+		}
+		w.Rebase()
+		p.Put(w, Keep)
+		w = get(t, p)
+		notarise(t, w)
+		p.Put(w, OK)
+	}
+	after := phys.RestoreStats()
+	if after.Snapshots != before.Snapshots || after.FullRestores != before.FullRestores {
+		t.Fatalf("steady-state rebases fell back: %d snapshots, %d full restores",
+			after.Snapshots-before.Snapshots, after.FullRestores-before.FullRestores)
+	}
+	if after.DeltaRestores-before.DeltaRestores != 8 {
+		t.Fatalf("delta restores = %d, want 8", after.DeltaRestores-before.DeltaRestores)
+	}
 }
 
 // tracedBoot boots like counterBoot but attaches a live event sink, so

@@ -219,3 +219,58 @@ func TestBaselineFastPath(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordAcrossRebase: a notary sign is recorded through a shared
+// Baseline, the notary is checkpointed and the golden snapshot rebased
+// in place, and a second sign is recorded through the same Baseline. The
+// rebase burns the memory generation, so the second trace must start
+// from a full export of the rebased memory, not the first capture with
+// an (emptied) dirty overlay, and both traces must replay bit-identically
+// with the block cache on and off.
+func TestRecordAcrossRebase(t *testing.T) {
+	sys, err := komodo.New(komodo.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	notary := load(t, sys, kasm.NotaryGuest(1))
+	golden := sys.Snapshot()
+	var base replay.Baseline
+	sign := func(want uint32) *replay.Trace {
+		t.Helper()
+		live := sys.Machine().Phys.ExportPages()
+		rec, err := replay.StartRecording(sys, "t-rebase", "notary", &base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := notary.WriteShared(0, 0, make([]uint32, 16)); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := notary.Run(16); err != nil || res.Value != want {
+			t.Fatalf("sign: %v %+v, want counter %d", err, res, want)
+		}
+		trace := rec.Stop()
+		if !reflect.DeepEqual(trace.StartPages, live) {
+			t.Fatalf("sign %d: trace does not start from a full export of live memory", want)
+		}
+		return trace
+	}
+	first := sign(1)
+	if _, err := sys.CheckpointEnclave(notary); err != nil {
+		t.Fatal(err)
+	}
+	if !sys.Rebase(golden) {
+		t.Fatal("rebase of the boot-time golden fell back")
+	}
+	second := sign(2)
+	for i, trace := range []*replay.Trace{first, second} {
+		for _, noBlock := range []bool{false, true} {
+			res, err := replay.Replay(trace, func(bc *komodo.BootConfig) { bc.NoBlockCache = noBlock })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.OK() {
+				t.Fatalf("trace %d (block cache off=%v) diverged:\n%s", i+1, noBlock, replay.RenderResult(res))
+			}
+		}
+	}
+}

@@ -27,6 +27,7 @@
 package seal
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/sha2"
@@ -96,15 +97,21 @@ func subKey(key [32]byte, label string) [32]byte {
 	return sha2.HMAC(key[:], []byte(label))
 }
 
-// keystream XORs the HMAC-CTR keystream for (key, nonce) into dst.
+// keystream XORs the HMAC-CTR keystream for (key, nonce) into dst: block
+// i is HMAC(encKey, nonce[0] ‖ nonce[1] ‖ i) as big-endian words. The key
+// is absorbed once and the 12-byte counter block is encoded in place, so
+// each 8 words of keystream cost two SHA-256 compressions and no
+// allocation.
 func keystream(encKey [32]byte, nonce [2]uint32, dst []uint32) {
-	var block [3]uint32
-	block[0], block[1] = nonce[0], nonce[1]
+	mac := sha2.NewHMAC(encKey[:])
+	var block [12]byte
+	binary.BigEndian.PutUint32(block[0:], nonce[0])
+	binary.BigEndian.PutUint32(block[4:], nonce[1])
 	for i := 0; i < len(dst); i += 8 {
-		block[2] = uint32(i / 8)
-		ks := sha2.BytesToWords(hmacOf(encKey, block[:]))
+		binary.BigEndian.PutUint32(block[8:], uint32(i/8))
+		ks := mac.Sum(block[:])
 		for j := 0; j < 8 && i+j < len(dst); j++ {
-			dst[i+j] ^= ks[j]
+			dst[i+j] ^= binary.BigEndian.Uint32(ks[4*j:])
 		}
 	}
 }

@@ -9,6 +9,21 @@ import (
 // attestation (§4) is a MAC over the attesting enclave's measurement and
 // 32 bytes of enclave-supplied data, keyed by a boot-time secret.
 func HMAC(key, msg []byte) [Size]byte {
+	k := NewHMAC(key)
+	return k.Sum(msg)
+}
+
+// HMACKey is an HMAC-SHA256 key with its inner (ipad) and outer (opad)
+// blocks already absorbed, so each Sum under it costs only the message and
+// digest compressions — the form for many MACs under one key, such as
+// the sealing keystream's counter blocks.
+type HMACKey struct {
+	inner, outer Hash
+}
+
+// NewHMAC keys HMAC-SHA256 with key. It returns the key by value so a
+// caller's local key stays off the heap.
+func NewHMAC(key []byte) HMACKey {
 	var kb [BlockSize]byte
 	if len(key) > BlockSize {
 		d := Sum256(key)
@@ -21,12 +36,21 @@ func HMAC(key, msg []byte) [Size]byte {
 		ipad[i] = kb[i] ^ 0x36
 		opad[i] = kb[i] ^ 0x5c
 	}
-	inner := New()
-	inner.Write(ipad[:])
+	var k HMACKey
+	k.inner.Reset()
+	k.inner.Write(ipad[:])
+	k.outer.Reset()
+	k.outer.Write(opad[:])
+	return k
+}
+
+// Sum returns HMAC-SHA256(key, msg). The key is not consumed: Sum may be
+// called any number of times.
+func (k *HMACKey) Sum(msg []byte) [Size]byte {
+	inner := k.inner
 	inner.Write(msg)
 	id := inner.Sum()
-	outer := New()
-	outer.Write(opad[:])
+	outer := k.outer
 	outer.Write(id[:])
 	return outer.Sum()
 }

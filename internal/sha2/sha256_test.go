@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +147,59 @@ func TestHMACVectorsRFC4231(t *testing.T) {
 		got := HMAC(key, []byte(c.data))
 		if hex.EncodeToString(got[:]) != c.want {
 			t.Errorf("case %d: HMAC = %x, want %s", i+1, got, c.want)
+		}
+	}
+}
+
+// TestHMACKeyVectorsRFC4231 runs RFC 4231 test cases 1-4, 6 and 7
+// through one NewHMAC key summed twice, covering the pre-hashed
+// (longer than a block) key and reuse of the absorbed pads.
+func TestHMACKeyVectorsRFC4231(t *testing.T) {
+	rep := func(b byte, n int) string { return string(bytes.Repeat([]byte{b}, n)) }
+	cases := []struct {
+		key, data, want string // raw key and data bytes, hex MAC
+	}{
+		{rep(0x0b, 20), "Hi There",
+			"b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+		{"Jefe", "what do ya want for nothing?",
+			"5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+		{rep(0xaa, 20), rep(0xdd, 50),
+			"773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+		{"\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f\x10\x11\x12\x13\x14\x15\x16\x17\x18\x19",
+			rep(0xcd, 50),
+			"82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+		{rep(0xaa, 131), "Test Using Larger Than Block-Size Key - Hash Key First",
+			"60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+		{rep(0xaa, 131), "This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.",
+			"9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+	}
+	for i, c := range cases {
+		k := NewHMAC([]byte(c.key))
+		for pass := 0; pass < 2; pass++ {
+			got := k.Sum([]byte(c.data))
+			if hex.EncodeToString(got[:]) != c.want {
+				t.Errorf("case %d pass %d: HMAC = %x, want %s", i, pass, got, c.want)
+			}
+		}
+	}
+}
+
+// TestHMACKeyMatchesStdlib: one NewHMAC key, summed over several random
+// messages, matches crypto/hmac for random keys of 0 to 200 bytes.
+func TestHMACKeyMatchesStdlib(t *testing.T) {
+	r := mrand.New(mrand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		key := make([]byte, r.Intn(201))
+		r.Read(key)
+		k := NewHMAC(key)
+		for j := 0; j < 4; j++ {
+			msg := make([]byte, r.Intn(300))
+			r.Read(msg)
+			m := hmac.New(sha256.New, key)
+			m.Write(msg)
+			if got := k.Sum(msg); !bytes.Equal(got[:], m.Sum(nil)) {
+				t.Fatalf("key %d bytes, msg %d bytes: keyed HMAC differs from crypto/hmac", len(key), len(msg))
+			}
 		}
 	}
 }

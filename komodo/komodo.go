@@ -540,6 +540,13 @@ type Snapshot = arm.Snapshot
 // Snapshot captures the platform.
 func (s *System) Snapshot() *Snapshot { return s.plat.Machine.Snapshot() }
 
+// Rebase updates snap in place to capture the platform's current state,
+// copying only the memory pages dirtied since snap was taken or last
+// restored. It returns false, leaving snap untouched, when snap is no
+// longer this System's restore baseline; take a fresh Snapshot then.
+// Only the snapshot's sole owner may rebase it.
+func (s *System) Rebase(snap *Snapshot) bool { return s.plat.Machine.Rebase(snap) }
+
 // Restore rewinds the platform to a snapshot taken from this System (or an
 // identically configured one).
 //
