@@ -39,12 +39,14 @@ bench-json:
 # The block A/B benchmark and the block differential harness also run under
 # the race detector: the superblock cache must stay bit-identical there too.
 # BenchmarkRebase runs both rebase paths of the durable write path
-# (incremental fold and full snapshot) once each.
+# (incremental fold and full snapshot) once each; BenchmarkCheckpoint and
+# the sha2 benchmarks run the seal on the platform SHA-256 engine.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 	$(GO) test -race -run XXX -bench BenchmarkInterpreter -benchtime 1x .
 	$(GO) test -race -run 'TestBlockDifferential|FuzzBlockCache' ./internal/arm/
-	$(GO) test -run XXX -bench BenchmarkRebase -benchtime 1x ./komodo/
+	$(GO) test -run XXX -bench 'BenchmarkRebase|BenchmarkCheckpoint' -benchtime 1x ./komodo/
+	$(GO) test -run XXX -bench . -benchtime 1x ./internal/sha2/
 	$(GO) run ./cmd/komodo-bench -perf -perf-requests 16
 
 # Regenerate the committed perf baseline for this PR sequence number.

@@ -59,11 +59,43 @@ func TestSealKnownAnswer(t *testing.T) {
 // on the stack and encodes each counter block in place, so it allocates
 // nothing at any payload length.
 func TestKeystreamAllocationFree(t *testing.T) {
+	if !allocFree {
+		t.Skip("the SHA-256 engine's state export allocates in this build")
+	}
 	var key [32]byte
 	short, long := make([]uint32, 8), make([]uint32, 8*64)
 	a := testing.AllocsPerRun(20, func() { keystream(key, [2]uint32{1, 2}, short) })
 	b := testing.AllocsPerRun(20, func() { keystream(key, [2]uint32{1, 2}, long) })
 	if a != 0 || b != 0 {
 		t.Fatalf("keystream allocs: %v for 1 block, %v for 64 blocks; want 0", a, b)
+	}
+}
+
+// TestSealOpenAllocationsFlat: the tag pass streams the blob's words into
+// the keyed inner hash instead of flattening them to bytes, so Seal (the
+// blob) and Open (the payload) allocate as often for 4,096 payload words
+// as for 8.
+func TestSealOpenAllocationsFlat(t *testing.T) {
+	if !allocFree {
+		t.Skip("the SHA-256 engine's state export allocates in this build")
+	}
+	var root [32]byte
+	meas := [8]uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	key := DeriveKey(root, meas)
+	counts := func(n int) (seal, open float64) {
+		payload := make([]uint32, n)
+		blob := Seal(key, [2]uint32{1, 2}, KindCheckpoint, meas, payload)
+		seal = testing.AllocsPerRun(20, func() { Seal(key, [2]uint32{1, 2}, KindCheckpoint, meas, payload) })
+		open = testing.AllocsPerRun(20, func() {
+			if _, _, err := Open(root, blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return seal, open
+	}
+	s8, o8 := counts(8)
+	s4k, o4k := counts(4096)
+	if s8 != s4k || o8 != o4k || s8 > 1 || o8 > 1 {
+		t.Fatalf("allocs: Seal %v (8 words) vs %v (4,096), Open %v vs %v; want equal and at most 1", s8, s4k, o8, o4k)
 	}
 }

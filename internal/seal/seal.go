@@ -21,9 +21,9 @@
 // unauthenticated path to the plaintext.
 //
 // The cipher is HMAC-SHA256 in counter mode (8 words of keystream per
-// block), which keeps the whole construction inside the repo's existing
-// verified-style sha2 package with no new dependencies. All tag
-// comparisons are constant-time.
+// block), so the whole construction is built from the repo's sha2 package,
+// the same SHA-256 and HMAC the monitor attests with, and needs no other
+// primitive. All tag comparisons are constant-time.
 package seal
 
 import (
@@ -89,8 +89,13 @@ func DeriveRoot(bootSecret [32]byte) [32]byte {
 // identity — the basis for cross-board migration; any other measurement
 // or root yields an unrelated key.
 func DeriveKey(root [32]byte, measurement [8]uint32) [32]byte {
-	msg := append([]byte("komodo-seal-key-v1"), sha2.WordsToBytes(measurement[:])...)
-	return sha2.HMAC(root[:], msg)
+	const label = "komodo-seal-key-v1"
+	var msg [len(label) + 32]byte
+	copy(msg[:], label)
+	for i, w := range measurement {
+		binary.BigEndian.PutUint32(msg[len(label)+4*i:], w)
+	}
+	return sha2.HMAC(root[:], msg[:])
 }
 
 func subKey(key [32]byte, label string) [32]byte {
@@ -116,9 +121,11 @@ func keystream(encKey [32]byte, nonce [2]uint32, dst []uint32) {
 	}
 }
 
-func hmacOf(key [32]byte, words []uint32) []byte {
-	mac := sha2.HMAC(key[:], sha2.WordsToBytes(words))
-	return mac[:]
+// hmacOf is HMAC(key, words as big-endian bytes), with the words streamed
+// into the keyed inner hash.
+func hmacOf(key [32]byte, words []uint32) [sha2.Size]byte {
+	mac := sha2.NewHMAC(key[:])
+	return mac.SumWords(words)
 }
 
 // Seal builds a sealed blob: header, payload encrypted under K_enc with
@@ -140,8 +147,10 @@ func Seal(key [32]byte, nonce [2]uint32, kind uint32, measurement [8]uint32, pay
 	ct := blob[HeaderWords : HeaderWords+n]
 	copy(ct, payload)
 	keystream(subKey(key, "komodo-seal-enc-v1"), nonce, ct)
-	tag := sha2.BytesToWords(hmacOf(subKey(key, "komodo-seal-mac-v1"), blob[:HeaderWords+n]))
-	copy(blob[HeaderWords+n:], tag)
+	tag := hmacOf(subKey(key, "komodo-seal-mac-v1"), blob[:HeaderWords+n])
+	for i := range TagWords {
+		blob[HeaderWords+n+i] = binary.BigEndian.Uint32(tag[4*i:])
+	}
 	return blob
 }
 
@@ -195,10 +204,11 @@ func OpenWithKey(key [32]byte, blob []uint32) (Header, []uint32, error) {
 func openWith(key [32]byte, h Header, blob []uint32) (Header, []uint32, error) {
 	n := h.PayloadLen
 	want := hmacOf(subKey(key, "komodo-seal-mac-v1"), blob[:HeaderWords+n])
-	var wantTag, gotTag [32]byte
-	copy(wantTag[:], want)
-	copy(gotTag[:], sha2.WordsToBytes(blob[HeaderWords+n:]))
-	if !sha2.Equal(wantTag, gotTag) {
+	var got [sha2.Size]byte
+	for i, w := range blob[HeaderWords+n:] {
+		binary.BigEndian.PutUint32(got[4*i:], w)
+	}
+	if !sha2.Equal(want, got) {
 		return h, nil, ErrAuth
 	}
 	payload := make([]uint32, n)

@@ -49,6 +49,20 @@ func NewHMAC(key []byte) HMACKey {
 func (k *HMACKey) Sum(msg []byte) [Size]byte {
 	inner := k.inner
 	inner.Write(msg)
+	return k.finish(&inner)
+}
+
+// SumWords returns HMAC-SHA256(key, ws as big-endian bytes), streaming the
+// words into the inner hash rather than flattening them first.
+func (k *HMACKey) SumWords(ws []uint32) [Size]byte {
+	inner := k.inner
+	inner.WriteWords(ws)
+	return k.finish(&inner)
+}
+
+// finish closes an inner hash that has absorbed the message and runs the
+// outer hash over its digest.
+func (k *HMACKey) finish(inner *Hash) [Size]byte {
 	id := inner.Sum()
 	outer := k.outer
 	outer.Write(id[:])

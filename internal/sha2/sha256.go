@@ -1,16 +1,27 @@
-// Package sha2 is a from-scratch implementation of SHA-256 (FIPS 180-4) and
-// HMAC-SHA256 (RFC 2104). The Komodo monitor uses SHA-256 for enclave
-// measurement and HMAC-SHA256 for local attestation (§4, §7.2). The paper's
-// prototype inherits an OpenSSL-style verified ARM implementation from Vale;
-// we implement the algorithm directly and cross-check it against the Go
-// standard library in tests (the stdlib is used only as a test oracle).
+// Package sha2 is SHA-256 (FIPS 180-4) and HMAC-SHA256 (RFC 2104) in the
+// form the Komodo monitor consumes them: SHA-256 for enclave measurement
+// and HMAC-SHA256 for local attestation and sealing (§4, §7.2). The
+// paper's prototype inherits an OpenSSL-style verified ARM implementation
+// from Vale. Here the compression function runs on the platform's SHA-256
+// block from crypto/sha256, which picks SHA-NI, AVX2 or generic code from
+// the CPU; a textbook round loop kept in the tests is the independent
+// reference it is checked against. Padding, HMAC keying, the Blocks()
+// accounting the monitor charges cycles by, word I/O and Marshal/Unmarshal
+// all stay in this package, so the bytes and the modelled cost do not
+// depend on the engine.
 //
 // The streaming API mirrors how the monitor consumes it: the measurement is
 // a running hash extended by each page-allocation call (§4 "Attestation"),
 // finalised when the enclave is finalised.
 package sha2
 
-import "encoding/binary"
+import (
+	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
+	"hash"
+	"sync"
+)
 
 // Size is the length of a SHA-256 digest in bytes.
 const Size = 32
@@ -39,6 +50,7 @@ var k = [64]uint32{
 }
 
 // Hash is a streaming SHA-256 state. The zero value is not valid; use New.
+// It holds no pointers, so copying a Hash by value forks the stream.
 type Hash struct {
 	h      [8]uint32
 	buf    [BlockSize]byte
@@ -79,9 +91,9 @@ func (s *Hash) Write(p []byte) (int, error) {
 			s.nbuf = 0
 		}
 	}
-	for len(p) >= BlockSize {
-		s.compress(p[:BlockSize])
-		p = p[BlockSize:]
+	if n := len(p) &^ (BlockSize - 1); n > 0 {
+		s.compress(p[:n])
+		p = p[n:]
 	}
 	if len(p) > 0 {
 		s.nbuf = copy(s.buf[:], p)
@@ -92,10 +104,14 @@ func (s *Hash) Write(p []byte) (int, error) {
 // WriteWords absorbs 32-bit words in big-endian order. The monitor hashes
 // page contents and call arguments as words (the machine is word-addressed).
 func (s *Hash) WriteWords(ws []uint32) {
-	var b [4]byte
-	for _, w := range ws {
-		binary.BigEndian.PutUint32(b[:], w)
-		s.Write(b[:])
+	var b [16 * BlockSize]byte
+	for len(ws) > 0 {
+		n := min(len(ws), len(b)/4)
+		for i, w := range ws[:n] {
+			binary.BigEndian.PutUint32(b[4*i:], w)
+		}
+		s.Write(b[:4*n])
+		ws = ws[n:]
 	}
 }
 
@@ -133,38 +149,49 @@ func (s *Hash) SumWords() [8]uint32 {
 	return w
 }
 
-func (s *Hash) compress(block []byte) {
-	s.blocks++
-	var w [64]uint32
-	for i := 0; i < 16; i++ {
-		w[i] = binary.BigEndian.Uint32(block[i*4:])
-	}
-	for i := 16; i < 64; i++ {
-		s0 := rotr(w[i-15], 7) ^ rotr(w[i-15], 18) ^ (w[i-15] >> 3)
-		s1 := rotr(w[i-2], 17) ^ rotr(w[i-2], 19) ^ (w[i-2] >> 10)
-		w[i] = w[i-16] + s0 + w[i-7] + s1
-	}
-	a, b, c, d, e, f, g, h := s.h[0], s.h[1], s.h[2], s.h[3], s.h[4], s.h[5], s.h[6], s.h[7]
-	for i := 0; i < 64; i++ {
-		S1 := rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)
-		ch := (e & f) ^ (^e & g)
-		t1 := h + S1 + ch + k[i] + w[i]
-		S0 := rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)
-		maj := (a & b) ^ (a & c) ^ (b & c)
-		t2 := S0 + maj
-		h, g, f, e, d, c, b, a = g, f, e, d+t1, c, b, a, t1+t2
-	}
-	s.h[0] += a
-	s.h[1] += b
-	s.h[2] += c
-	s.h[3] += d
-	s.h[4] += e
-	s.h[5] += f
-	s.h[6] += g
-	s.h[7] += h
+// engine is a pooled crypto/sha256 digest plus the buffers compress
+// hands it. Passing only engine-owned memory through the hash.Hash
+// interface keeps callers' blocks and states on their stacks.
+type engine struct {
+	d     hash.Hash
+	state [marshaledSize]byte
+	chunk [64 * BlockSize]byte
 }
 
-func rotr(x uint32, n uint) uint32 { return x>>n | x<<(32-n) }
+// marshaledSize is the length of crypto/sha256's binary state: "sha\x03",
+// h[8], a 64-byte buffer and a u64 length, all big-endian.
+const marshaledSize = 4 + Size + BlockSize + 8
+
+var engines = sync.Pool{New: func() any {
+	e := &engine{d: sha256.New()}
+	copy(e.state[:], "sha\x03")
+	return e
+}}
+
+// compress runs the SHA-256 compression function over p, a whole number
+// of blocks, on the platform's SHA-256 block. The engine's buffer and
+// length stay zero, so only h travels in and out.
+func (s *Hash) compress(p []byte) {
+	s.blocks += uint64(len(p) / BlockSize)
+	e := engines.Get().(*engine)
+	for i, h := range s.h {
+		binary.BigEndian.PutUint32(e.state[4+4*i:], h)
+	}
+	if err := e.d.(encoding.BinaryUnmarshaler).UnmarshalBinary(e.state[:]); err != nil {
+		panic("sha2: " + err.Error())
+	}
+	for len(p) > 0 {
+		n := copy(e.chunk[:], p)
+		e.d.Write(e.chunk[:n])
+		p = p[n:]
+	}
+	st := e.exportState()
+	for i := range s.h {
+		s.h[i] = binary.BigEndian.Uint32(st[4+4*i:])
+	}
+	binary.BigEndian.PutUint64(e.state[4+Size+BlockSize:], 0)
+	engines.Put(e)
+}
 
 // InitialState returns the SHA-256 initial hash values; the KARM assembly
 // implementation (internal/kasm) embeds them in enclave code.

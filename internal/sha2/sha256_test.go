@@ -5,11 +5,256 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	mrand "math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// refCompress is the textbook FIPS 180-4 §6.2.2 compression function, kept
+// here as a reference independent of the crypto/sha256 engine that
+// (*Hash).compress runs on.
+func refCompress(h *[8]uint32, block []byte) {
+	var w [64]uint32
+	for i := 0; i < 16; i++ {
+		w[i] = binary.BigEndian.Uint32(block[i*4:])
+	}
+	for i := 16; i < 64; i++ {
+		s0 := rotr(w[i-15], 7) ^ rotr(w[i-15], 18) ^ (w[i-15] >> 3)
+		s1 := rotr(w[i-2], 17) ^ rotr(w[i-2], 19) ^ (w[i-2] >> 10)
+		w[i] = w[i-16] + s0 + w[i-7] + s1
+	}
+	a, b, c, d, e, f, g, hh := h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]
+	for i := 0; i < 64; i++ {
+		S1 := rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)
+		ch := (e & f) ^ (^e & g)
+		t1 := hh + S1 + ch + k[i] + w[i]
+		S0 := rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)
+		maj := (a & b) ^ (a & c) ^ (b & c)
+		t2 := S0 + maj
+		hh, g, f, e, d, c, b, a = g, f, e, d+t1, c, b, a, t1+t2
+	}
+	h[0] += a
+	h[1] += b
+	h[2] += c
+	h[3] += d
+	h[4] += e
+	h[5] += f
+	h[6] += g
+	h[7] += hh
+}
+
+func rotr(x uint32, n uint) uint32 { return x>>n | x<<(32-n) }
+
+// refChain returns the reference chaining state after the whole blocks of
+// msg.
+func refChain(msg []byte) [8]uint32 {
+	h := initH
+	for ; len(msg) >= BlockSize; msg = msg[BlockSize:] {
+		refCompress(&h, msg[:BlockSize])
+	}
+	return h
+}
+
+// refSum256 pads msg and runs it through refCompress.
+func refSum256(msg []byte) [Size]byte {
+	padded := append(append([]byte(nil), msg...), 0x80)
+	for len(padded)%BlockSize != 56 {
+		padded = append(padded, 0)
+	}
+	padded = binary.BigEndian.AppendUint64(padded, uint64(len(msg))*8)
+	h := refChain(padded)
+	var out [Size]byte
+	for i, w := range h {
+		binary.BigEndian.PutUint32(out[4*i:], w)
+	}
+	return out
+}
+
+// refHMAC is RFC 2104 over refSum256.
+func refHMAC(key, msg []byte) [Size]byte {
+	if len(key) > BlockSize {
+		d := refSum256(key)
+		key = d[:]
+	}
+	ipad := make([]byte, BlockSize, BlockSize+len(msg))
+	opad := make([]byte, BlockSize, BlockSize+Size)
+	copy(ipad, key)
+	copy(opad, key)
+	for i := range ipad {
+		ipad[i] ^= 0x36
+		opad[i] ^= 0x5c
+	}
+	inner := refSum256(append(ipad, msg...))
+	return refSum256(append(opad, inner[:]...))
+}
+
+func TestReferenceKnownAnswers(t *testing.T) {
+	for _, v := range katVectors {
+		got := refSum256([]byte(v.in))
+		if hex.EncodeToString(got[:]) != v.out {
+			t.Errorf("refSum256(%q) = %x, want %s", v.in, got, v.out)
+		}
+	}
+}
+
+// TestEngineDifferential streams random messages through Hash at random
+// Write split points, with a mid-stream Marshal/Unmarshal into a fresh
+// Hash, and checks the chaining state after every write, the digest
+// against the textbook reference and crypto/sha256, and Blocks() against
+// the padded-block count the monitor's cycle accounting assumes.
+func TestEngineDifferential(t *testing.T) {
+	r := mrand.New(mrand.NewSource(13))
+	for iter := 0; iter < 300; iter++ {
+		n := r.Intn(32 * BlockSize)
+		if iter%5 == 0 { // longer than the engine's chunk buffer
+			n = r.Intn(200 * BlockSize)
+		}
+		msg := make([]byte, n)
+		r.Read(msg)
+		want := refSum256(msg)
+		if want != sha256.Sum256(msg) {
+			t.Fatalf("reference and crypto/sha256 disagree on %d bytes", len(msg))
+		}
+		s := New()
+		resumedAt := -1
+		for off := 0; off < len(msg); {
+			n := min(r.Intn(3*BlockSize), len(msg)-off)
+			if r.Intn(4) == 0 {
+				n = min(r.Intn(2*BlockSize*64), len(msg)-off)
+			}
+			s.Write(msg[off : off+n])
+			off += n
+			if h, _, _, _ := s.Marshal(); h != refChain(msg[:off]) {
+				t.Fatalf("%d bytes, after %d: chaining state %08x, want %08x", len(msg), off, h, refChain(msg[:off]))
+			}
+			if resumedAt < 0 && r.Intn(3) == 0 {
+				var fresh Hash
+				fresh.Unmarshal(s.Marshal())
+				s, resumedAt = &fresh, off
+			}
+		}
+		if got := s.Sum(); got != want {
+			t.Fatalf("%d bytes (resumed at %d): digest %x, want %x", len(msg), resumedAt, got, want)
+		}
+		wantBlocks := paddedBlocks(len(msg))
+		if resumedAt >= 0 {
+			wantBlocks -= uint64(resumedAt / BlockSize)
+		}
+		if s.Blocks() != wantBlocks {
+			t.Fatalf("%d bytes (resumed at %d): Blocks() = %d, want %d", len(msg), resumedAt, s.Blocks(), wantBlocks)
+		}
+	}
+}
+
+// TestWriteWordsMatchesBytes: WriteWords, from any buffered offset and
+// across its internal chunking, hashes the same bytes as Write and counts
+// the same blocks.
+func TestWriteWordsMatchesBytes(t *testing.T) {
+	r := mrand.New(mrand.NewSource(7))
+	for iter := 0; iter < 100; iter++ {
+		prefix := make([]byte, r.Intn(BlockSize))
+		ws := make([]uint32, r.Intn(1200))
+		r.Read(prefix)
+		for i := range ws {
+			ws[i] = r.Uint32()
+		}
+		a, b := New(), New()
+		a.Write(prefix)
+		a.WriteWords(ws)
+		b.Write(prefix)
+		b.Write(WordsToBytes(ws))
+		if a.Sum() != b.Sum() || a.Blocks() != b.Blocks() {
+			t.Fatalf("prefix %d, %d words: WriteWords diverged from Write", len(prefix), len(ws))
+		}
+	}
+}
+
+// TestHMACKeyMatchesReference covers short, block-sized and pre-hashed
+// long keys, Sum and SumWords, against the textbook reference HMAC.
+func TestHMACKeyMatchesReference(t *testing.T) {
+	r := mrand.New(mrand.NewSource(3))
+	for _, kl := range []int{0, 1, 32, BlockSize - 1, BlockSize, BlockSize + 1, 131, 300} {
+		key := make([]byte, kl)
+		r.Read(key)
+		k := NewHMAC(key)
+		for j := 0; j < 8; j++ {
+			ws := make([]uint32, r.Intn(400))
+			for i := range ws {
+				ws[i] = r.Uint32()
+			}
+			msg := WordsToBytes(ws)
+			want := refHMAC(key, msg)
+			if got := k.Sum(msg); got != want {
+				t.Fatalf("key %d bytes, msg %d bytes: Sum = %x, want %x", kl, len(msg), got, want)
+			}
+			if got := k.SumWords(ws); got != want {
+				t.Fatalf("key %d bytes, msg %d bytes: SumWords = %x, want %x", kl, len(msg), got, want)
+			}
+		}
+	}
+}
+
+// TestHMACKeyConcurrent: goroutines sharing HMACKey values and hashing
+// distinct messages get the stdlib's answers; run under -race, it checks
+// that the pooled engines are never shared.
+func TestHMACKeyConcurrent(t *testing.T) {
+	keys := []HMACKey{NewHMAC([]byte("seal")), NewHMAC(bytes.Repeat([]byte{0xaa}, 131))}
+	raw := [][]byte{[]byte("seal"), bytes.Repeat([]byte{0xaa}, 131)}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				msg := bytes.Repeat([]byte{byte(g), byte(i)}, 1+(g*37+i)%300)
+				ki := (g + i) % len(keys)
+				m := hmac.New(sha256.New, raw[ki])
+				m.Write(msg)
+				if got := keys[ki].Sum(msg); !bytes.Equal(got[:], m.Sum(nil)) {
+					errs <- "goroutine MAC differs from crypto/hmac"
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// TestAllocationFree: digests and MACs over stack inputs allocate nothing;
+// the engine copies blocks into its own buffer, so no caller memory
+// escapes through the hash.Hash interface.
+func TestAllocationFree(t *testing.T) {
+	if !allocFree {
+		t.Skip("the SHA-256 engine's state export allocates in this build")
+	}
+	var msg [200]byte
+	var ws [100]uint32
+	k := NewHMAC([]byte("key"))
+	s := New()
+	s.Write(msg[:77])
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"Hash.Sum", func() { s.Sum() }},
+		{"Sum256", func() { Sum256(msg[:]) }},
+		{"HMACKey.Sum", func() { k.Sum(msg[:12]) }},
+		{"HMACKey.SumWords", func() { k.SumWords(ws[:]) }},
+	}
+	for _, c := range cases {
+		if n := testing.AllocsPerRun(50, c.f); n != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", c.name, n)
+		}
+	}
+}
 
 // FIPS 180-4 / NIST CAVP known-answer vectors.
 var katVectors = []struct {
@@ -276,6 +521,17 @@ func BenchmarkSHA256_4k(b *testing.B) {
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {
 		Sum256(buf)
+	}
+}
+
+// BenchmarkHMACKeySum is one keystream block: a 12-byte nonce‖counter
+// message under an already-keyed HMAC.
+func BenchmarkHMACKeySum(b *testing.B) {
+	k := NewHMAC(make([]byte, 32))
+	var msg [12]byte
+	for i := 0; i < b.N; i++ {
+		binary.BigEndian.PutUint32(msg[8:], uint32(i))
+		k.Sum(msg[:])
 	}
 }
 

@@ -267,13 +267,12 @@ func (r *Recorder) EventsSince(mark uint64) []Event {
 }
 
 // emit assigns a sequence number, appends to the ring, and forwards to the
-// sink. The ring append and the sequence assignment happen under the ring
-// lock, so ring order always matches sequence order (linearisability of
-// the trace is asserted by the concurrency suite).
+// sink. All three happen under the ring lock, so ring order and sink order
+// always match sequence order (linearisability of the trace is asserted by
+// the concurrency suite). Sinks must not call back into the Recorder.
 func (r *Recorder) emit(e Event) {
 	e.Span = r.spanTag.Load()
-	e.Seq = r.ring.appendNext(&r.seq, e)
-	r.sink.Emit(e)
+	r.ring.appendNext(&r.seq, e, r.sink)
 }
 
 // ObserveSMC records one completed SMC: counters, histogram, split, and a
