@@ -56,7 +56,11 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTelemetryNopOverhead pins the tentpole's cost contract: an
 // attached recorder with the default nop sink must add no measurable
 // overhead to the SMC hot path. Both sub-benchmarks run the identical
-// full enclave crossing; compare their ns/op.
+// full enclave crossing; compare their ns/op. The sink is called under
+// the trace-ring lock (so sink order is sequence order), which is free
+// for the nop sink. A writing sink such as JSONLSink encodes and writes
+// while holding that lock, so concurrent producers and ring readers
+// (Snapshot, EventsSince) wait on its I/O.
 func BenchmarkTelemetryNopOverhead(b *testing.B) {
 	run := func(b *testing.B, rec *telemetry.Recorder) {
 		plat, err := board.Boot(board.Config{Seed: 1, Telemetry: rec})

@@ -1,10 +1,9 @@
-//go:build !go1.24 || race
+//go:build race
 
 package seal
 
-// allocFree is false where the engine's state export allocates, so
-// allocation counts are asserted only in other builds. Before Go 1.24,
-// crypto/sha256 can only marshal its state into a fresh slice. Under the
-// race detector the standard library is compiled without its
-// append(b, make([]byte, n)...) optimisation, so AppendBinary allocates.
+// allocFree is false under the race detector, which compiles the standard
+// library without its append(b, make([]byte, n)...) optimisation, so
+// crypto/sha256's AppendBinary allocates. Allocation counts are asserted
+// in every other build.
 const allocFree = false

@@ -60,7 +60,7 @@ func TestSealKnownAnswer(t *testing.T) {
 // nothing at any payload length.
 func TestKeystreamAllocationFree(t *testing.T) {
 	if !allocFree {
-		t.Skip("the SHA-256 engine's state export allocates in this build")
+		t.Skip("under -race, crypto/sha256's state export allocates")
 	}
 	var key [32]byte
 	short, long := make([]uint32, 8), make([]uint32, 8*64)
@@ -77,7 +77,7 @@ func TestKeystreamAllocationFree(t *testing.T) {
 // as for 8.
 func TestSealOpenAllocationsFlat(t *testing.T) {
 	if !allocFree {
-		t.Skip("the SHA-256 engine's state export allocates in this build")
+		t.Skip("under -race, crypto/sha256's state export allocates")
 	}
 	var root [32]byte
 	meas := [8]uint32{1, 2, 3, 4, 5, 6, 7, 8}

@@ -1,4 +1,4 @@
-//go:build go1.24 && !race
+//go:build !race
 
 package sha2
 

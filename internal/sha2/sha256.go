@@ -154,8 +154,15 @@ func (s *Hash) SumWords() [8]uint32 {
 // interface keeps callers' blocks and states on their stacks.
 type engine struct {
 	d     hash.Hash
+	app   stateAppender // d's AppendBinary; nil before Go 1.24
 	state [marshaledSize]byte
 	chunk [64 * BlockSize]byte
+}
+
+// stateAppender is encoding.BinaryAppender, declared here because the
+// module still builds on toolchains older than Go 1.24, which lack it.
+type stateAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
 }
 
 // marshaledSize is the length of crypto/sha256's binary state: "sha\x03",
@@ -164,6 +171,7 @@ const marshaledSize = 4 + Size + BlockSize + 8
 
 var engines = sync.Pool{New: func() any {
 	e := &engine{d: sha256.New()}
+	e.app, _ = e.d.(stateAppender)
 	copy(e.state[:], "sha\x03")
 	return e
 }}
@@ -191,6 +199,19 @@ func (s *Hash) compress(p []byte) {
 	}
 	binary.BigEndian.PutUint64(e.state[4+Size+BlockSize:], 0)
 	engines.Put(e)
+}
+
+// exportState returns the digest's binary state. AppendBinary writes it
+// into the engine's own buffer, so a compression allocates nothing;
+// before Go 1.24 the digest can only marshal into a fresh slice. Neither
+// can fail for a SHA-256 digest.
+func (e *engine) exportState() []byte {
+	if e.app != nil {
+		st, _ := e.app.AppendBinary(e.state[:0])
+		return st
+	}
+	st, _ := e.d.(encoding.BinaryMarshaler).MarshalBinary()
+	return st
 }
 
 // InitialState returns the SHA-256 initial hash values; the KARM assembly

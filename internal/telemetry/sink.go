@@ -9,6 +9,9 @@ import (
 // Sink receives every boundary event as it is recorded. Implementations
 // must be safe for concurrent Emit calls. The hot path calls Emit with a
 // value Event, so a sink that does nothing costs only the interface call.
+// Emit runs under the recorder's trace-ring lock, so events arrive in
+// sequence order; an Emit must not call back into the Recorder, and the
+// time it takes holds up other producers and ring readers.
 type Sink interface {
 	Emit(Event)
 }

@@ -199,6 +199,54 @@ func TestJSONLSink(t *testing.T) {
 	}
 }
 
+// TestJSONLSinkOrderMatchesRing: under concurrent producers the JSONL
+// stream carries every event once, in sequence order, and agrees line by
+// line with the ring. The sink is fed under the ring lock, so a producer
+// cannot overtake another between taking a sequence number and emitting.
+func TestJSONLSinkOrderMatchesRing(t *testing.T) {
+	var buf bytes.Buffer
+	sink := NewJSONLSink(&buf)
+	r := New()
+	r.SetSink(sink)
+	const workers = 8
+	const perWorker = DefaultRingCapacity / workers
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				r.ObserveSMC(kapi.SMCGetPhysPages, [4]uint32{uint32(w)}, 0, 254, 123, 100)
+			}
+		}()
+	}
+	wg.Wait()
+	if sink.Err() != nil {
+		t.Fatal(sink.Err())
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	ring := r.Ring().Snapshot()
+	if len(lines) != workers*perWorker || len(ring) != len(lines) {
+		t.Fatalf("%d lines and %d ring events, want %d of each", len(lines), len(ring), workers*perWorker)
+	}
+	for i, line := range lines {
+		var got struct {
+			Seq  uint64    `json:"seq"`
+			Args [4]uint32 `json:"args"`
+		}
+		if err := json.Unmarshal([]byte(line), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Seq != uint64(i) {
+			t.Fatalf("line %d has seq %d: sink order differs from sequence order", i, got.Seq)
+		}
+		if ring[i].Seq != got.Seq || ring[i].Args != got.Args {
+			t.Fatalf("line %d (seq %d, args %v) != ring event %d (seq %d, args %v)",
+				i, got.Seq, got.Args, i, ring[i].Seq, ring[i].Args)
+		}
+	}
+}
+
 // failAfter fails every write after the first n bytes worth of calls.
 type failAfter struct {
 	writes int
