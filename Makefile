@@ -41,12 +41,15 @@ bench-json:
 # BenchmarkRebase runs both rebase paths of the durable write path
 # (incremental fold and full snapshot) once each; BenchmarkCheckpoint and
 # the sha2 benchmarks run the seal on the platform SHA-256 engine.
+# BenchmarkCheckpointStoreSave runs the durable Save of a real checkpoint
+# with fsync and with a no-op sync (encode + write alone).
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 	$(GO) test -race -run XXX -bench BenchmarkInterpreter -benchtime 1x .
 	$(GO) test -race -run 'TestBlockDifferential|FuzzBlockCache' ./internal/arm/
 	$(GO) test -run XXX -bench 'BenchmarkRebase|BenchmarkCheckpoint' -benchtime 1x ./komodo/
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/sha2/
+	$(GO) test -run XXX -bench BenchmarkCheckpointStoreSave -benchtime 1x ./internal/server/
 	$(GO) run ./cmd/komodo-bench -perf -perf-requests 16
 
 # Regenerate the committed perf baseline for this PR sequence number.

@@ -143,7 +143,7 @@ func (s *Server) signBatchRoot(ctx context.Context, root [8]uint32) (batch.Signe
 		s.cfg.Pool.Release(ctx, wk, pool.Fail)
 		return batch.SignedRoot{}, err
 	}
-	if err := s.maybeCheckpoint(wk, st, n.Counter); err != nil {
+	if err := s.maybeCheckpoint(ctx, wk, st, n.Counter); err != nil {
 		s.cfg.Pool.Release(ctx, wk, pool.Fail)
 		return batch.SignedRoot{}, fmt.Errorf("checkpointing batch notary: %w", err)
 	}

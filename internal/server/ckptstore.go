@@ -15,8 +15,10 @@ package server
 // on untrusted disk.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/store"
@@ -26,21 +28,52 @@ import (
 const (
 	// recCheckpoint is the WAL record kind for a sealed notary checkpoint.
 	recCheckpoint = uint32(1)
-	// ckptSnapshotName is the folded-state snapshot file.
+	// recFormat versions a recCheckpoint payload: a fixed header (this
+	// version, worker, counter, each u32 big-endian) followed by the
+	// komodo.Checkpoint compact form. Version 1 was a JSON
+	// SavedCheckpoint, told apart by its leading '{'; recovery reads
+	// both. The version's leading zero byte is not JSON, so an older
+	// binary rejects the record instead of skipping it.
+	recFormat    = uint32(2)
+	recHeadBytes = 12
+	// ckptSnapshotName is the folded-state snapshot file: a JSON array of
+	// SavedCheckpoint. Its name is kept across payload formats, so an
+	// older binary reads it and then fails closed on the compact Ckpt.
 	ckptSnapshotName = "checkpoints.json"
 	// ckptCompactEvery folds the WAL into a snapshot after this many
 	// appended records, bounding recovery time and log growth.
 	ckptCompactEvery = 64
 )
 
-// SavedCheckpoint is one durable notary checkpoint: the WAL/snapshot
-// payload, JSON-encoded.
+// SavedCheckpoint is one durable notary checkpoint, as recovered from a
+// WAL record or a snapshot entry.
 type SavedCheckpoint struct {
 	Worker  int    `json:"worker"`
 	Counter uint32 `json:"counter"`
-	// Ckpt is komodo.Checkpoint.MarshalBinary output (sealed blob +
-	// untrusted manifest).
+	// Ckpt is the sealed blob + untrusted manifest, in either form
+	// komodo.UnmarshalCheckpoint reads: compact for everything this
+	// version writes, JSON in records an older version wrote.
 	Ckpt []byte `json:"ckpt"`
+}
+
+// decodeRecord parses a recCheckpoint payload of either format. The
+// recovered Ckpt aliases payload.
+func decodeRecord(payload []byte) (SavedCheckpoint, error) {
+	var s SavedCheckpoint
+	if len(payload) > 0 && payload[0] == '{' {
+		err := json.Unmarshal(payload, &s)
+		return s, err
+	}
+	if len(payload) < recHeadBytes {
+		return s, fmt.Errorf("payload of %d bytes is shorter than its header", len(payload))
+	}
+	if v := binary.BigEndian.Uint32(payload); v != recFormat {
+		return s, fmt.Errorf("unknown payload format %d", v)
+	}
+	s.Worker = int(binary.BigEndian.Uint32(payload[4:]))
+	s.Counter = binary.BigEndian.Uint32(payload[8:])
+	s.Ckpt = payload[recHeadBytes:]
+	return s, nil
 }
 
 // CheckpointStore persists per-worker notary checkpoints. Safe for
@@ -85,15 +118,18 @@ func OpenCheckpointStore(dir string, opts ...store.Option) (*CheckpointStore, er
 		}
 	}
 	for _, rec := range st.Records() {
+		// A record that passed the CRC but is of an unknown kind or
+		// format was written by a newer version or by a bug, not torn
+		// by a crash. Skipping it could re-issue the counters it holds,
+		// so the open fails.
 		if rec.Kind != recCheckpoint {
-			continue
-		}
-		var s SavedCheckpoint
-		if err := json.Unmarshal(rec.Payload, &s); err != nil {
-			// A record that passed the CRC but does not parse is a
-			// software bug, not a torn write; fail loudly.
 			st.Close()
-			return nil, fmt.Errorf("server: checkpoint record %d corrupt: %w", rec.Seq, err)
+			return nil, fmt.Errorf("server: WAL record %d has unknown kind %d", rec.Seq, rec.Kind)
+		}
+		s, err := decodeRecord(rec.Payload)
+		if err != nil {
+			st.Close()
+			return nil, fmt.Errorf("server: checkpoint record %d: %w", rec.Seq, err)
 		}
 		c.latest[s.Worker] = s
 		c.latestSeq[s.Worker] = rec.Seq
@@ -102,18 +138,23 @@ func OpenCheckpointStore(dir string, opts ...store.Option) (*CheckpointStore, er
 }
 
 // Save durably records worker's notary checkpoint at the given counter.
-// The WAL append runs outside any map mutex, so concurrent Saves from
-// different sealed batches can share one fsync group.
+// The record is encoded in one pass into one buffer, which the saved
+// Ckpt then aliases. The WAL append runs outside any map mutex, so
+// concurrent Saves from different sealed batches can share one fsync
+// group.
 func (c *CheckpointStore) Save(worker int, counter uint32, ckpt *komodo.Checkpoint) error {
-	blob, err := ckpt.MarshalBinary()
+	if worker < 0 || uint64(worker) > math.MaxUint32 {
+		return fmt.Errorf("server: worker id %d out of range", worker)
+	}
+	var head [recHeadBytes]byte
+	binary.BigEndian.PutUint32(head[0:], recFormat)
+	binary.BigEndian.PutUint32(head[4:], uint32(worker))
+	binary.BigEndian.PutUint32(head[8:], counter)
+	payload, err := ckpt.AppendCompact(head[:])
 	if err != nil {
 		return err
 	}
-	s := SavedCheckpoint{Worker: worker, Counter: counter, Ckpt: blob}
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return err
-	}
+	s := SavedCheckpoint{Worker: worker, Counter: counter, Ckpt: payload[recHeadBytes:]}
 	c.cmu.RLock()
 	seq, err := c.st.Append(recCheckpoint, payload)
 	if err != nil {

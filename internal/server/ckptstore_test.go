@@ -3,15 +3,21 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/kasm"
 	"repro/internal/nwos"
 	"repro/internal/pool"
 	"repro/internal/store"
@@ -281,6 +287,277 @@ func TestCheckpointStoreRecovery(t *testing.T) {
 	}
 }
 
+// v1Record and v1Checkpoint are the version-1 JSON forms of a WAL
+// record and of the checkpoint inside it, decoded here exactly as
+// version 1 decoded them.
+type v1Record struct {
+	Worker  int    `json:"worker"`
+	Counter uint32 `json:"counter"`
+	Ckpt    []byte `json:"ckpt"`
+}
+
+type v1Checkpoint struct {
+	Version  int           `json:"version"`
+	Manifest nwos.Manifest `json:"manifest"`
+	Blob     string        `json:"blob"`
+}
+
+// v1UnmarshalCheckpoint is version 1's komodo.UnmarshalCheckpoint.
+func v1UnmarshalCheckpoint(data []byte) error {
+	var w v1Checkpoint
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	if w.Version != 1 {
+		return fmt.Errorf("unsupported checkpoint version %d", w.Version)
+	}
+	raw, err := base64.StdEncoding.DecodeString(w.Blob)
+	if err != nil {
+		return err
+	}
+	if len(raw)%4 != 0 {
+		return fmt.Errorf("blob length %d not word-aligned", len(raw))
+	}
+	return nil
+}
+
+// tinyCheckpoint is a synthetic checkpoint whose one blob word names it.
+func tinyCheckpoint(word uint32) *komodo.Checkpoint {
+	return &komodo.Checkpoint{Manifest: nwos.Manifest{NumPages: 1}, Blob: []uint32{word}}
+}
+
+// appendV1 appends a version-1 JSON record to dir's WAL, as an older
+// binary wrote it.
+func appendV1(t *testing.T, dir string, worker int, counter uint32) {
+	t.Helper()
+	ckpt, err := tinyCheckpoint(counter).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(v1Record{Worker: worker, Counter: counter, Ckpt: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Append(recCheckpoint, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// saveCompact saves one checkpoint through a freshly opened store.
+func saveCompact(t *testing.T, dir string, worker int, counter uint32) {
+	t.Helper()
+	cs, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	if err := cs.Save(worker, counter, tinyCheckpoint(counter)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointStoreV1StateDir boots on a state dir written by version
+// 1 (JSON WAL records and a JSON-era checkpoints.json, under seed 42):
+// worker 0's latest is its WAL record, worker 1's its snapshot entry.
+// Both counters recover, both sealed blobs restore, and signing resumes
+// right past them; a compact record saved on top then wins over both.
+func TestCheckpointStoreV1StateDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"wal.log", ckptSnapshotName} {
+		b, err := os.ReadFile(filepath.Join("testdata", "v1-state", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]uint32{0: 33, 1: 32}
+	for w, c := range want {
+		if s, ok := cs.Latest(w); !ok || s.Counter != c {
+			t.Fatalf("worker %d recovered counter %d (ok=%v), want %d", w, s.Counter, ok, c)
+		}
+	}
+
+	p := newPool(t, pool.Config{Size: 2, Provision: RestoreProvision(cs)})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for range want {
+		wk, err := p.Get(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Release(ctx, wk, pool.Keep)
+		st := wk.State().(*WorkerState)
+		n, err := NotarySign(ctx, st, []byte("after upgrade"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Counter != want[wk.ID()]+1 {
+			t.Fatalf("worker %d signed counter %d, want %d", wk.ID(), n.Counter, want[wk.ID()]+1)
+		}
+		if wk.ID() == 0 {
+			ckpt, err := wk.System().CheckpointEnclave(st.Notary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cs.Save(0, n.Counter, ckpt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cs, err = OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	want[0]++
+	for w, c := range want {
+		s, ok := cs.Latest(w)
+		if !ok || s.Counter != c {
+			t.Fatalf("worker %d counter %d (ok=%v) after a compact save, want %d", w, s.Counter, ok, c)
+		}
+		if _, err := komodo.UnmarshalCheckpoint(s.Ckpt); err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+}
+
+// TestCheckpointStoreMixedFormats replays a WAL holding version-1 JSON
+// and compact records in both orders: the record the WAL ordered last
+// wins for each worker, whatever its format, blob word for word.
+func TestCheckpointStoreMixedFormats(t *testing.T) {
+	dir := t.TempDir()
+	appendV1(t, dir, 0, 1)
+	appendV1(t, dir, 1, 1)
+	saveCompact(t, dir, 0, 2)
+	saveCompact(t, dir, 1, 2)
+	appendV1(t, dir, 1, 3)
+
+	cs, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	for w, want := range map[int]uint32{0: 2, 1: 3} {
+		s, ok := cs.Latest(w)
+		if !ok || s.Counter != want {
+			t.Fatalf("worker %d latest counter %d (ok=%v), want %d", w, s.Counter, ok, want)
+		}
+		back, err := komodo.UnmarshalCheckpoint(s.Ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(back.Blob, []uint32{want}) || back.Manifest.NumPages != 1 {
+			t.Fatalf("worker %d checkpoint %+v, want blob [%d]", w, back, want)
+		}
+	}
+}
+
+// TestCheckpointStoreUnknownRecordsFailClosed: a CRC-clean WAL record of
+// an unknown kind or payload format fails the open. Skipping it could
+// hide a newer checkpoint and re-issue its counters.
+func TestCheckpointStoreUnknownRecordsFailClosed(t *testing.T) {
+	payload := func(format uint32) []byte {
+		head := binary.BigEndian.AppendUint32(nil, format)
+		head = binary.BigEndian.AppendUint32(head, 0)
+		head = binary.BigEndian.AppendUint32(head, 9)
+		b, err := tinyCheckpoint(9).AppendCompact(head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name    string
+		kind    uint32
+		payload []byte
+	}{
+		{"unknown kind", recCheckpoint + 1, payload(recFormat)},
+		{"unknown format", recCheckpoint, payload(recFormat + 1)},
+		{"short payload", recCheckpoint, []byte{0, 0, 0}},
+		{"bad json", recCheckpoint, []byte(`{"worker":`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			saveCompact(t, dir, 0, 1)
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Append(tc.kind, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			if cs, err := OpenCheckpointStore(dir); err == nil {
+				cs.Close()
+				t.Fatal("store opened past an unreadable record")
+			}
+		})
+	}
+}
+
+// TestCheckpointFormatDowngradeFailsClosed: version 1's decoders reject
+// what this version writes, so an older binary refuses to boot on the
+// state dir instead of re-issuing counters. Its WAL decoder rejects a
+// compact record outright; its snapshot decoder reads the JSON envelope
+// but its UnmarshalCheckpoint rejects the compact Ckpt inside.
+func TestCheckpointFormatDowngradeFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	cs, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(1); i <= ckptCompactEvery+1; i++ {
+		if err := cs.Save(0, i, tinyCheckpoint(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs.Close()
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := st.Records()
+	st.Close()
+	if len(recs) != 1 {
+		t.Fatalf("%d WAL records after compaction, want 1", len(recs))
+	}
+	var rec v1Record
+	if err := json.Unmarshal(recs[0].Payload, &rec); err == nil {
+		t.Fatalf("version 1 decoded a compact WAL record: %+v", rec)
+	}
+	if err := v1UnmarshalCheckpoint(recs[0].Payload[recHeadBytes:]); err == nil {
+		t.Fatal("version 1 decoded a compact checkpoint")
+	}
+
+	snap, err := os.ReadFile(filepath.Join(dir, ckptSnapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []v1Record
+	if err := json.Unmarshal(snap, &entries); err != nil || len(entries) != 1 {
+		t.Fatalf("snapshot envelope: %d entries, %v", len(entries), err)
+	}
+	if err := v1UnmarshalCheckpoint(entries[0].Ckpt); err == nil {
+		t.Fatal("version 1 decoded a compact snapshot entry")
+	}
+}
+
 // TestRetryAfterClasses pins the backpressure contract: queue-full 429
 // and deadline 503 say "retry in 1s"; draining 503 says "back off 5s"
 // and is counted separately from timeouts.
@@ -406,5 +683,50 @@ func TestCheckpointStoreConcurrentGroupSaves(t *testing.T) {
 		if !ok || s.Counter != saves {
 			t.Fatalf("recovered worker %d counter %d (ok=%v), want %d", w, s.Counter, ok, saves)
 		}
+	}
+}
+
+// BenchmarkCheckpointStoreSave measures one durable Save of a real
+// sealed notary checkpoint: encode, WAL write and fsync, with the
+// compaction every ckptCompactEvery saves amortised in. The nosync
+// variant swaps the fsync for a no-op to isolate encode + write.
+func BenchmarkCheckpointStoreSave(b *testing.B) {
+	sys, err := komodo.New(komodo.WithSeed(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, err := kasm.NotaryGuest(1).Image()
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := sys.LoadEnclave(komodo.FromNWOSImage(img))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ckpt, err := sys.CheckpointEnclave(enc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []struct {
+		name string
+		opts []store.Option
+	}{
+		{"fsync", nil},
+		{"nosync", []store.Option{store.WithSync(func(*os.File) error { return nil })}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			cs, err := OpenCheckpointStore(b.TempDir(), v.opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cs.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := cs.Save(0, uint32(i+1), ckpt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -40,11 +40,17 @@ func postTraced(t *testing.T, url, traceparent, body string) *http.Response {
 // TestTraceEndToEnd pins the tentpole promise: a request sent with a
 // known W3C traceparent to /v1/notary/sign is retrievable from
 // /v1/debug/traces as a timeline holding the serving-phase wall spans
-// (queue, acquire, execute, restore) AND at least one monitor-level SMC
-// span carrying a simulated cycle count.
+// (queue, acquire, execute, restore), the durable stages of a
+// checkpointed sign (seal, wal, rebase) AND at least one monitor-level
+// SMC span carrying a simulated cycle count.
 func TestTraceEndToEnd(t *testing.T) {
 	p := newPool(t, pool.Config{Size: 1})
-	srv := New(Config{Pool: p})
+	cs, err := OpenCheckpointStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	srv := New(Config{Pool: p, Checkpoints: cs})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -105,7 +111,7 @@ func TestTraceEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"queue", "acquire", "execute", "restore"} {
+	for _, want := range []string{"queue", "acquire", "execute", "restore", "seal", "wal", "rebase"} {
 		if !phases[want] {
 			t.Fatalf("timeline missing %q span: %+v", want, td.Spans)
 		}

@@ -553,7 +553,7 @@ func (s *Server) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 		// Seal the signed counter into the durable store before
 		// replying: once the client sees a counter, a restart must not
 		// replay it.
-		if err := s.maybeCheckpoint(wk, st, n.Counter); err != nil {
+		if err := s.maybeCheckpoint(ctx, wk, st, n.Counter); err != nil {
 			return pool.Fail, fmt.Errorf("checkpointing notary: %w", err)
 		}
 		s.reply(w, http.StatusOK, NotaryResponse{
@@ -574,22 +574,31 @@ func (s *Server) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 // the committed state. The rebase makes the durable counter the restore
 // point for stateless releases too: in durable mode a counter, once
 // issued, is never re-issued — not after a pool restore and not after a
-// process restart.
-func (s *Server) maybeCheckpoint(wk *pool.Worker, st *WorkerState, counter uint32) error {
+// process restart. The three stages are the seal, wal (encode, write
+// and fsync) and rebase spans of ctx's trace.
+func (s *Server) maybeCheckpoint(ctx context.Context, wk *pool.Worker, st *WorkerState, counter uint32) error {
 	if s.cfg.Checkpoints == nil {
 		return nil
 	}
 	if counter%uint32(s.cfg.CheckpointEvery) != 0 {
 		return nil
 	}
+	tr := obs.FromContext(ctx)
+	sp := tr.StartSpan("seal")
 	ckpt, err := wk.System().CheckpointEnclave(st.Notary)
+	sp.End()
 	if err != nil {
 		return err
 	}
-	if err := s.cfg.Checkpoints.Save(wk.ID(), counter, ckpt); err != nil {
+	sp = tr.StartSpan("wal")
+	err = s.cfg.Checkpoints.Save(wk.ID(), counter, ckpt)
+	sp.End()
+	if err != nil {
 		return err
 	}
+	sp = tr.StartSpan("rebase")
 	wk.Rebase()
+	sp.End()
 	return nil
 }
 
@@ -686,10 +695,11 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, http.StatusOK, DrainResponse{Status: status, InFlight: s.cfg.Pool.Stats().InFlight})
 }
 
-// handleRestore instantiates a POSTed checkpoint (MarshalBinary JSON)
-// as the worker's notary, replacing the current one, and rebases the
-// worker so the restored state survives pool restores. Restore fails
-// closed on a tampered blob or a foreign boot secret.
+// handleRestore instantiates a POSTed checkpoint (either form
+// komodo.UnmarshalCheckpoint reads) as the worker's notary, replacing
+// the current one, and rebases the worker so the restored state
+// survives pool restores. Restore fails closed on a tampered blob or a
+// foreign boot secret.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.replyErr(w, http.StatusMethodNotAllowed, "POST the checkpoint JSON")

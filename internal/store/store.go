@@ -256,18 +256,16 @@ func readFrame(f *os.File, off, size int64, head []byte) (bool, Record, int64) {
 	return true, rec, off + headBytes + n + crcBytes
 }
 
-// frameRecord builds one CRC-framed WAL record.
-func frameRecord(seq uint64, kind uint32, payload []byte) []byte {
-	frame := make([]byte, headBytes+len(payload)+crcBytes)
-	binary.BigEndian.PutUint32(frame[0:4], recMagic)
-	binary.BigEndian.PutUint64(frame[4:12], seq)
-	binary.BigEndian.PutUint32(frame[12:16], kind)
-	binary.BigEndian.PutUint32(frame[16:20], uint32(len(payload)))
-	copy(frame[headBytes:], payload)
-	crc := crc32.NewIEEE()
-	crc.Write(frame[4 : headBytes+len(payload)])
-	binary.BigEndian.PutUint32(frame[headBytes+len(payload):], crc.Sum32())
-	return frame
+// appendFrame appends one CRC-framed WAL record to dst (which the
+// callers size beforehand) and returns the extended slice.
+func appendFrame(dst []byte, seq uint64, kind uint32, payload []byte) []byte {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, recMagic)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint32(dst, kind)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start+4:]))
 }
 
 // Append durably adds a record and returns its sequence number. On any
@@ -296,7 +294,8 @@ func (s *Store) Append(kind uint32, payload []byte) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.seq + 1
-	frame := frameRecord(seq, kind, payload)
+	end := headBytes + len(payload)
+	frame := appendFrame(make([]byte, 0, end+crcBytes), seq, kind, payload)
 	if _, err := s.wal.WriteAt(frame, s.off); err != nil {
 		s.rollback()
 		return 0, err
@@ -308,7 +307,9 @@ func (s *Store) Append(kind uint32, payload []byte) (uint64, error) {
 	}
 	s.off += int64(len(frame))
 	s.seq = seq
-	s.recs = append(s.recs, Record{Seq: seq, Kind: kind, Payload: append([]byte(nil), payload...)})
+	// The live log aliases the written frame rather than copying the
+	// payload a second time.
+	s.recs = append(s.recs, Record{Seq: seq, Kind: kind, Payload: frame[headBytes:end:end]})
 	s.stats.Appends++
 	s.stats.Fsyncs++
 	s.stats.Groups++
@@ -348,9 +349,13 @@ func (s *Store) committer() {
 // member — no member is ever acknowledged off a failed fsync.
 func (s *Store) commitGroup(grp []*groupAppend) {
 	s.mu.Lock()
-	var buf []byte
+	size := 0
+	for _, p := range grp {
+		size += headBytes + len(p.payload) + crcBytes
+	}
+	buf := make([]byte, 0, size)
 	for i, p := range grp {
-		buf = append(buf, frameRecord(s.seq+1+uint64(i), p.kind, p.payload)...)
+		buf = appendFrame(buf, s.seq+1+uint64(i), p.kind, p.payload)
 	}
 	fail := func(err error) {
 		s.rollback()
@@ -369,10 +374,13 @@ func (s *Store) commitGroup(grp []*groupAppend) {
 		fail(fmt.Errorf("store: wal sync: %w", err))
 		return
 	}
+	off := 0
 	for _, p := range grp {
 		s.seq++
 		p.seq = s.seq
-		s.recs = append(s.recs, Record{Seq: p.seq, Kind: p.kind, Payload: append([]byte(nil), p.payload...)})
+		end := off + headBytes + len(p.payload)
+		s.recs = append(s.recs, Record{Seq: p.seq, Kind: p.kind, Payload: buf[off+headBytes : end : end]})
+		off = end + crcBytes
 	}
 	s.off += int64(len(buf))
 	s.stats.Appends += uint64(len(grp))

@@ -4,12 +4,17 @@ package komodo
 // the monitor-sealed blob (opaque, integrity- and confidentiality-
 // protected) with the untrusted OS manifest needed to re-address the
 // enclave after restore. Checkpoints serialise to JSON for transport
-// and at-rest storage (internal/store); see docs/SEALING.md.
+// (MarshalBinary) and to a compact binary form for at-rest storage
+// (AppendCompact, the payload of internal/server's WAL records);
+// UnmarshalCheckpoint reads both. See docs/SEALING.md.
 
 import (
+	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/nwos"
 	"repro/internal/sha2"
@@ -34,7 +39,8 @@ type checkpointWire struct {
 	Blob     string        `json:"blob"`
 }
 
-// MarshalBinary encodes the checkpoint for storage or transport.
+// MarshalBinary encodes the checkpoint as JSON, the transport form of
+// /v1/checkpoint, komodo-ckpt files and gateway migration.
 func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 	w := checkpointWire{
 		Version:  1,
@@ -44,8 +50,54 @@ func (c *Checkpoint) MarshalBinary() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalCheckpoint decodes MarshalBinary output.
+// The compact form: the magic, the format version, the manifest as
+// length-prefixed JSON, then the blob's word count and its words, all
+// integers big-endian. The blob is already sealed, so re-encoding it
+// protects nothing; the compact form writes its words as they are.
+//
+//	"KCKP" | version u32 (2) | manifest length u32 | manifest JSON |
+//	blob words u32 | blob words
+const (
+	compactMagic   = "KCKP"
+	compactVersion = 2 // the JSON transport form is version 1
+	compactHead    = len(compactMagic) + 4 + 4
+)
+
+// AppendCompact appends the checkpoint's compact binary form to dst and
+// returns the extended slice, growing dst at most once.
+func (c *Checkpoint) AppendCompact(dst []byte) ([]byte, error) {
+	man, err := json.Marshal(c.Manifest)
+	if err != nil {
+		return nil, err
+	}
+	dst = slices.Grow(dst, compactHead+len(man)+4+4*len(c.Blob))
+	dst = append(dst, compactMagic...)
+	dst = binary.BigEndian.AppendUint32(dst, compactVersion)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(man)))
+	dst = append(dst, man...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(c.Blob)))
+	off := len(dst)
+	dst = dst[:off+4*len(c.Blob)]
+	for i, w := range c.Blob {
+		binary.BigEndian.PutUint32(dst[off+4*i:], w)
+	}
+	return dst, nil
+}
+
+// UnmarshalCheckpoint decodes either form: MarshalBinary's JSON
+// (leading '{') or AppendCompact's binary (leading magic). Anything
+// else is rejected.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
+	switch {
+	case bytes.HasPrefix(bytes.TrimLeft(data, " \t\r\n"), []byte("{")):
+		return unmarshalJSON(data)
+	case bytes.HasPrefix(data, []byte(compactMagic)):
+		return unmarshalCompact(data)
+	}
+	return nil, fmt.Errorf("komodo: checkpoint decode: neither JSON nor compact form")
+}
+
+func unmarshalJSON(data []byte) (*Checkpoint, error) {
 	var w checkpointWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("komodo: checkpoint decode: %w", err)
@@ -61,6 +113,34 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("komodo: checkpoint blob length %d not word-aligned", len(raw))
 	}
 	return &Checkpoint{Manifest: w.Manifest, Blob: sha2.BytesToWords(raw)}, nil
+}
+
+// unmarshalCompact checks every length field against what is left of
+// data before it slices or allocates, so a forged length costs nothing.
+func unmarshalCompact(data []byte) (*Checkpoint, error) {
+	if len(data) < compactHead {
+		return nil, fmt.Errorf("komodo: compact checkpoint truncated at %d bytes", len(data))
+	}
+	if v := binary.BigEndian.Uint32(data[4:]); v != compactVersion {
+		return nil, fmt.Errorf("komodo: unsupported checkpoint version %d", v)
+	}
+	rest := data[compactHead:]
+	manLen := uint64(binary.BigEndian.Uint32(data[8:]))
+	if manLen+4 > uint64(len(rest)) {
+		return nil, fmt.Errorf("komodo: compact checkpoint manifest length %d exceeds %d bytes left", manLen, len(rest))
+	}
+	var c Checkpoint
+	if err := json.Unmarshal(rest[:manLen], &c.Manifest); err != nil {
+		return nil, fmt.Errorf("komodo: checkpoint manifest decode: %w", err)
+	}
+	rest = rest[manLen:]
+	words := uint64(binary.BigEndian.Uint32(rest))
+	rest = rest[4:]
+	if 4*words != uint64(len(rest)) {
+		return nil, fmt.Errorf("komodo: compact checkpoint claims %d blob words in %d bytes", words, len(rest))
+	}
+	c.Blob = sha2.BytesToWords(rest)
+	return &c, nil
 }
 
 // CheckpointEnclave seals a finalised (or stopped) enclave into a

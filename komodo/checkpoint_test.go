@@ -1,12 +1,17 @@
 package komodo_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/kasm"
+	"repro/internal/nwos"
 	"repro/komodo"
 )
 
@@ -146,6 +151,94 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	} {
 		if _, err := komodo.UnmarshalCheckpoint([]byte(bad)); err == nil {
 			t.Fatalf("accepted %q", bad)
+		}
+	}
+}
+
+// seedCheckpoint is a small synthetic checkpoint with every manifest
+// field set.
+func seedCheckpoint() *komodo.Checkpoint {
+	return &komodo.Checkpoint{
+		Manifest: nwos.Manifest{
+			NumPages: 4, L1: 0, Threads: []int{3},
+			L2: []nwos.L2Slot{{L1Index: 0, Logical: 1}}, Data: []int{2},
+			SharedPA: []uint32{0x80100000},
+		},
+		Blob: []uint32{1, 0xdeadbeef, 0, 0xffffffff},
+	}
+}
+
+// FuzzUnmarshalCheckpoint feeds UnmarshalCheckpoint arbitrary bytes,
+// seeded with both forms. It must never panic, never return more blob
+// than the input carries, and whatever it accepts must round-trip
+// through the compact form: manifest and blob word for word.
+func FuzzUnmarshalCheckpoint(f *testing.F) {
+	ck := seedCheckpoint()
+	js, err := ck.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	compact, err := ck.AppendCompact(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{js, compact, compact[:len(compact)-1], compact[:12], []byte("KCKP"), nil} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := komodo.UnmarshalCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if 4*len(c.Blob) > len(data) {
+			t.Fatalf("%d blob words from %d bytes", len(c.Blob), len(data))
+		}
+		enc, err := c.AppendCompact(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := komodo.UnmarshalCheckpoint(enc)
+		if err != nil {
+			t.Fatalf("compact form of an accepted checkpoint rejected: %v", err)
+		}
+		// Compare manifests by their JSON: omitempty folds an empty
+		// SharedPA into a nil one.
+		m1, _ := json.Marshal(c.Manifest)
+		m2, _ := json.Marshal(back.Manifest)
+		if !bytes.Equal(m1, m2) || !slices.Equal(c.Blob, back.Blob) {
+			t.Fatalf("round trip changed the checkpoint: %+v became %+v", c, back)
+		}
+	})
+}
+
+// TestCompactCheckpointForgedLengths: length fields that claim more than
+// the input holds are rejected before anything is allocated for them.
+func TestCompactCheckpointForgedLengths(t *testing.T) {
+	compact, err := seedCheckpoint().AppendCompact(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manLen := int(binary.BigEndian.Uint32(compact[8:]))
+	forge := func(at int, v uint32) []byte {
+		b := slices.Clone(compact)
+		binary.BigEndian.PutUint32(b[at:], v)
+		return b
+	}
+	for name, data := range map[string][]byte{
+		"manifest length": forge(8, 0xffffffff),
+		"word count":      forge(12+manLen, 0x3fffffff),
+		"one word short":  compact[:len(compact)-4],
+		"version":         forge(4, 3),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := komodo.UnmarshalCheckpoint(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: forged checkpoint accepted", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Fatalf("%s: rejecting allocated %d bytes", name, got)
 		}
 	}
 }
