@@ -2,10 +2,10 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/kasm"
+	"repro/internal/obs"
 	"repro/komodo"
 )
 
@@ -142,7 +142,7 @@ func throughput(cfg perfConfig, iters, docWords int) (throughputStats, error) {
 // serveLoop measures the pool's serving discipline: golden snapshot once,
 // then per request write the doc, run the notary, restore. Returns the
 // per-request wall latencies and delta-restore traffic.
-func serveLoop(reqs, docWords int) (lat []time.Duration, deltaWords, fullWords uint64, err error) {
+func serveLoop(reqs, docWords int) (lat *obs.Histogram, deltaWords, fullWords uint64, err error) {
 	sys, enc, err := notarySystem(cfgBlock)
 	if err != nil {
 		return nil, 0, 0, err
@@ -150,7 +150,7 @@ func serveLoop(reqs, docWords int) (lat []time.Duration, deltaWords, fullWords u
 	golden := sys.Snapshot()
 	m := sys.Machine()
 	doc := testDoc(docWords)
-	lat = make([]time.Duration, 0, reqs)
+	lat = obs.NewHistogram()
 	for i := 0; i < reqs; i++ {
 		t0 := time.Now()
 		if err := enc.WriteShared(0, 0, doc); err != nil {
@@ -162,7 +162,7 @@ func serveLoop(reqs, docWords int) (lat []time.Duration, deltaWords, fullWords u
 		if err := sys.Restore(golden); err != nil {
 			return nil, 0, 0, err
 		}
-		lat = append(lat, time.Since(t0))
+		lat.Observe(time.Since(t0))
 	}
 	rs := m.Phys.RestoreStats()
 	if rs.DeltaRestores > 0 {
@@ -201,11 +201,7 @@ func Perf(reqs int) (*PerfReport, error) {
 		return nil, err
 	}
 
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	p := func(q float64) float64 {
-		idx := int(q * float64(len(lat)-1))
-		return float64(lat[idx].Nanoseconds()) / 1e3
-	}
+	p := func(q float64) float64 { return float64(lat.Quantile(q).Nanoseconds()) / 1e3 }
 	r := &PerfReport{
 		Requests:               reqs,
 		DocWords:               docWords,
