@@ -248,12 +248,12 @@ func (p *Physical) Write(addr, val uint32, w World) error {
 			delete(p.tampered, addr)
 		}
 		off := addr - p.layout.SecureBase
-		p.touchSecure(off / PageSize)
+		p.touchSecure(off/PageSize, 1)
 		p.secure[off/4] = val
 		return nil
 	case p.InInsecure(addr):
 		off := addr - p.layout.InsecureBase
-		p.touchInsecure(off / PageSize)
+		p.touchInsecure(off/PageSize, 1)
 		p.insecure[off/4] = val
 		return nil
 	default:
@@ -261,16 +261,82 @@ func (p *Physical) Write(addr, val uint32, w World) error {
 	}
 }
 
-// touchSecure / touchInsecure record a write to page pg: set the dirty bit
-// for delta restore and bump the page version for content-change checks.
-func (p *Physical) touchSecure(pg uint32) {
+// touchSecure / touchInsecure record n word writes to page pg: set the
+// dirty bit for delta restore and bump the page version once per word for
+// content-change checks.
+func (p *Physical) touchSecure(pg uint32, n uint64) {
 	p.dirtySec[pg>>6] |= 1 << (pg & 63)
-	p.verSec[pg]++
+	p.verSec[pg] += n
 }
 
-func (p *Physical) touchInsecure(pg uint32) {
+func (p *Physical) touchInsecure(pg uint32, n uint64) {
 	p.dirtyIns[pg>>6] |= 1 << (pg & 63)
-	p.verIns[pg]++
+	p.verIns[pg] += n
+}
+
+// ReadWords fills dst from consecutive words starting at addr. It is the
+// bulk form of a Read loop over those addresses: the same words, and on
+// failure the error of the first word that fails. Regions are
+// page-aligned, so access is checked once per page and each page is one
+// copy; secure pages with poisoned words under ProtEncrypt are still
+// read word by word.
+func (p *Physical) ReadWords(addr uint32, dst []uint32, w World) error {
+	if addr%WordSize != 0 && len(dst) > 0 {
+		_, err := p.Read(addr, w)
+		return err
+	}
+	for len(dst) > 0 {
+		n := min(len(dst), int(PageSize-addr%PageSize)/WordSize)
+		switch {
+		case p.InInsecure(addr):
+			copy(dst[:n], p.insecure[(addr-p.layout.InsecureBase)/4:])
+		case p.InSecure(addr) && w == Secure && len(p.tampered) == 0:
+			copy(dst[:n], p.secure[(addr-p.layout.SecureBase)/4:])
+		default:
+			for i := range dst[:n] {
+				v, err := p.Read(addr+uint32(i*WordSize), w)
+				if err != nil {
+					return err
+				}
+				dst[i] = v
+			}
+		}
+		dst = dst[n:]
+		addr += uint32(n * WordSize)
+	}
+	return nil
+}
+
+// WriteWords stores src at consecutive words starting at addr: the bulk
+// form of a Write loop, leaving memory, dirty bits and page versions as
+// that loop would, and failing with the same error after writing the
+// same prefix.
+func (p *Physical) WriteWords(addr uint32, src []uint32, w World) error {
+	if addr%WordSize != 0 && len(src) > 0 {
+		return p.Write(addr, src[0], w)
+	}
+	for len(src) > 0 {
+		n := min(len(src), int(PageSize-addr%PageSize)/WordSize)
+		switch {
+		case p.InInsecure(addr):
+			off := addr - p.layout.InsecureBase
+			copy(p.insecure[off/4:], src[:n])
+			p.touchInsecure(off/PageSize, uint64(n))
+		case p.InSecure(addr) && w == Secure && len(p.tampered) == 0:
+			off := addr - p.layout.SecureBase
+			copy(p.secure[off/4:], src[:n])
+			p.touchSecure(off/PageSize, uint64(n))
+		default:
+			for i, v := range src[:n] {
+				if err := p.Write(addr+uint32(i*WordSize), v, w); err != nil {
+					return err
+				}
+			}
+		}
+		src = src[n:]
+		addr += uint32(n * WordSize)
+	}
+	return nil
 }
 
 // keystream is the simulated encryption engine's per-word pad. It only
@@ -327,16 +393,16 @@ func (p *Physical) TamperDRAM(addr, raw uint32) error {
 				p.tampered = make(map[uint32]bool)
 			}
 			p.tampered[addr] = true
-			p.touchSecure((addr - p.layout.SecureBase) / PageSize)
+			p.touchSecure((addr-p.layout.SecureBase)/PageSize, 1)
 			p.secure[(addr-p.layout.SecureBase)/4] = raw ^ p.keystream(addr)
 			return nil
 		default:
-			p.touchSecure((addr - p.layout.SecureBase) / PageSize)
+			p.touchSecure((addr-p.layout.SecureBase)/PageSize, 1)
 			p.secure[(addr-p.layout.SecureBase)/4] = raw
 			return nil
 		}
 	case p.InInsecure(addr):
-		p.touchInsecure((addr - p.layout.InsecureBase) / PageSize)
+		p.touchInsecure((addr-p.layout.InsecureBase)/PageSize, 1)
 		p.insecure[(addr-p.layout.InsecureBase)/4] = raw
 		return nil
 	default:
@@ -369,14 +435,7 @@ func (p *Physical) ReadPage(base uint32, w World) ([PageWords]uint32, error) {
 	if base%PageSize != 0 {
 		return out, fmt.Errorf("%w: page base %#x", ErrUnaligned, base)
 	}
-	for i := 0; i < PageWords; i++ {
-		v, err := p.Read(base+uint32(i*4), w)
-		if err != nil {
-			return out, err
-		}
-		out[i] = v
-	}
-	return out, nil
+	return out, p.ReadWords(base, out[:], w)
 }
 
 // WritePage writes 1024 words to the page at base.
@@ -384,12 +443,7 @@ func (p *Physical) WritePage(base uint32, words *[PageWords]uint32, w World) err
 	if base%PageSize != 0 {
 		return fmt.Errorf("%w: page base %#x", ErrUnaligned, base)
 	}
-	for i := 0; i < PageWords; i++ {
-		if err := p.Write(base+uint32(i*4), words[i], w); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.WriteWords(base, words[:], w)
 }
 
 // ZeroPage zero-fills the page at base.

@@ -19,48 +19,83 @@ import (
 // predicted PageDB after every SMC.
 func (k *Monitor) DecodePageDB() (*pagedb.DB, error) {
 	d := pagedb.New(k.npages)
-	for i := 0; i < k.npages; i++ {
+	var fresh payloadStore
+	for i := range d.Pages {
 		n := pagedb.PageNr(i)
-		ct := k.rd(k.pdbAddr(n) + pdbOffType)
-		owner := pagedb.PageNr(k.rd(k.pdbAddr(n) + pdbOffOwner))
-		t := abstractType(ct)
-		e := pagedb.Entry{Type: t, Owner: owner}
-		switch t {
-		case pagedb.TypeFree, pagedb.TypeSpare:
-			// no payload
-		case pagedb.TypeAddrspace:
-			as, err := k.decodeAddrspace(n)
-			if err != nil {
-				return nil, err
-			}
-			e.AS = as
-		case pagedb.TypeThread:
-			e.Thread = k.decodeThread(n)
-		case pagedb.TypeL1PT:
-			l1, err := k.decodeL1(n)
-			if err != nil {
-				return nil, err
-			}
-			e.L1 = l1
-		case pagedb.TypeL2PT:
-			l2, err := k.decodeL2(n)
-			if err != nil {
-				return nil, err
-			}
-			e.L2 = l2
-		case pagedb.TypeData:
-			contents, err := k.m.Phys.ReadPage(k.physPage(n), mem.Secure)
-			if err != nil {
-				return nil, fmt.Errorf("monitor: decode data page %d: %w", n, err)
-			}
-			e.Data = &pagedb.Data{Contents: contents}
+		d.Pages[i] = k.entryHead(n)
+		if err := k.decodePayload(n, &d.Pages[i], &fresh); err != nil {
+			return nil, err
 		}
-		d.Pages[i] = e
 	}
 	return d, nil
 }
 
-func (k *Monitor) decodeAddrspace(n pagedb.PageNr) (*pagedb.Addrspace, error) {
+// entryHead reads page n's PageDB type and owner words.
+func (k *Monitor) entryHead(n pagedb.PageNr) pagedb.Entry {
+	return pagedb.Entry{
+		Type:  abstractType(k.rd(k.pdbAddr(n) + pdbOffType)),
+		Owner: pagedb.PageNr(k.rd(k.pdbAddr(n) + pdbOffOwner)),
+	}
+}
+
+// decodePayload decodes the payload of page n, whose head e already
+// holds, into storage taken from ps. Every field of the payload is
+// written, so reused storage carries nothing over.
+func (k *Monitor) decodePayload(n pagedb.PageNr, e *pagedb.Entry, ps *payloadStore) error {
+	switch e.Type {
+	case pagedb.TypeAddrspace:
+		e.AS = ps.ases.next()
+		return k.decodeAddrspace(n, e.AS)
+	case pagedb.TypeThread:
+		e.Thread = ps.threads.next()
+		k.decodeThread(n, e.Thread)
+	case pagedb.TypeL1PT:
+		e.L1 = ps.l1s.next()
+		return k.decodeL1(n, e.L1)
+	case pagedb.TypeL2PT:
+		e.L2 = ps.l2s.next()
+		return k.decodeL2(n, e.L2)
+	case pagedb.TypeData:
+		e.Data = ps.data.next()
+		if err := k.m.Phys.ReadWords(k.physPage(n), e.Data.Contents[:], mem.Secure); err != nil {
+			return fmt.Errorf("monitor: decode data page %d: %w", n, err)
+		}
+	}
+	return nil
+}
+
+// payloadStore hands out storage for decoded PageDB payloads. A zero
+// store allocates each payload afresh; a store that is rewound and used
+// again hands the same storage out in the same order, so decoding the
+// same enclave shape again allocates nothing.
+type payloadStore struct {
+	ases    reuse[pagedb.Addrspace]
+	threads reuse[pagedb.Thread]
+	l1s     reuse[pagedb.L1PT]
+	l2s     reuse[pagedb.L2PT]
+	data    reuse[pagedb.Data]
+}
+
+func (ps *payloadStore) rewind() {
+	ps.ases.used, ps.threads.used, ps.l1s.used, ps.l2s.used, ps.data.used = 0, 0, 0, 0, 0
+}
+
+// reuse is a list of values handed out in order and kept for the next
+// round.
+type reuse[T any] struct {
+	items []*T
+	used  int
+}
+
+func (r *reuse[T]) next() *T {
+	if r.used == len(r.items) {
+		r.items = append(r.items, new(T))
+	}
+	r.used++
+	return r.items[r.used-1]
+}
+
+func (k *Monitor) decodeAddrspace(n pagedb.PageNr, as *pagedb.Addrspace) error {
 	base := k.physPage(n)
 	var st pagedb.ASState
 	switch k.rd(base + asOffState) {
@@ -71,24 +106,24 @@ func (k *Monitor) decodeAddrspace(n pagedb.PageNr) (*pagedb.Addrspace, error) {
 	case csStopped:
 		st = pagedb.ASStopped
 	default:
-		return nil, fmt.Errorf("monitor: addrspace %d has undefined state %d", n, k.rd(base+asOffState))
+		return fmt.Errorf("monitor: addrspace %d has undefined state %d", n, k.rd(base+asOffState))
 	}
-	as := &pagedb.Addrspace{
+	*as = pagedb.Addrspace{
 		State:    st,
 		L1PT:     pagedb.PageNr(k.rd(base + asOffL1PT)),
 		L1PTSet:  k.rd(base+asOffL1PTSet) != 0,
 		RefCount: int(int32(k.rd(base + asOffRefCount))),
 	}
-	as.Measurement = *k.loadMeasurement(n)
+	k.loadMeasurement(n, &as.Measurement)
 	for i := 0; i < 8; i++ {
 		as.Measured[i] = k.rd(base + asOffMeasured + uint32(i*4))
 	}
-	return as, nil
+	return nil
 }
 
-func (k *Monitor) decodeThread(n pagedb.PageNr) *pagedb.Thread {
+func (k *Monitor) decodeThread(n pagedb.PageNr, th *pagedb.Thread) {
 	base := k.physPage(n)
-	th := &pagedb.Thread{
+	*th = pagedb.Thread{
 		EntryPoint: k.rd(base + thOffEntry),
 		Entered:    k.rd(base+thOffEntered) != 0,
 	}
@@ -105,12 +140,11 @@ func (k *Monitor) decodeThread(n pagedb.PageNr) *pagedb.Thread {
 		th.VerifyData[i] = k.rd(base + thOffVerData + uint32(i*4))
 		th.VerifyMeasure[i] = k.rd(base + thOffVerMeas + uint32(i*4))
 	}
-	return th
 }
 
-func (k *Monitor) decodeL1(n pagedb.PageNr) (*pagedb.L1PT, error) {
+func (k *Monitor) decodeL1(n pagedb.PageNr, l1 *pagedb.L1PT) error {
 	base := k.physPage(n)
-	l1 := &pagedb.L1PT{}
+	*l1 = pagedb.L1PT{}
 	for i := 0; i < mmu.L1Entries; i++ {
 		e := k.rd(base + uint32(i*4))
 		if e == 0 {
@@ -118,17 +152,17 @@ func (k *Monitor) decodeL1(n pagedb.PageNr) (*pagedb.L1PT, error) {
 		}
 		pg := k.pageNrOf(e &^ uint32(mem.PageSize-1))
 		if pg < 0 {
-			return nil, fmt.Errorf("monitor: L1PT %d slot %d points outside enclave pages: %#x", n, i, e)
+			return fmt.Errorf("monitor: L1PT %d slot %d points outside enclave pages: %#x", n, i, e)
 		}
 		l1.Present[i] = true
 		l1.L2[i] = pagedb.PageNr(pg)
 	}
-	return l1, nil
+	return nil
 }
 
-func (k *Monitor) decodeL2(n pagedb.PageNr) (*pagedb.L2PT, error) {
+func (k *Monitor) decodeL2(n pagedb.PageNr, l2 *pagedb.L2PT) error {
 	base := k.physPage(n)
-	l2 := &pagedb.L2PT{}
+	*l2 = pagedb.L2PT{}
 	for i := 0; i < mmu.L2Entries; i++ {
 		w := k.rd(base + uint32(i*4))
 		pa, perms, valid := mmu.DecodePTE(w)
@@ -142,14 +176,14 @@ func (k *Monitor) decodeL2(n pagedb.PageNr) (*pagedb.L2PT, error) {
 		} else {
 			pg := k.pageNrOf(pa)
 			if pg < 0 {
-				return nil, fmt.Errorf("monitor: L2PT %d entry %d maps non-enclave secure page %#x", n, i, pa)
+				return fmt.Errorf("monitor: L2PT %d entry %d maps non-enclave secure page %#x", n, i, pa)
 			}
 			entry.Secure = true
 			entry.Page = pagedb.PageNr(pg)
 		}
 		l2.Entries[i] = entry
 	}
-	return l2, nil
+	return nil
 }
 
 // SMC is the OS-side entry point: it simulates the normal world executing

@@ -51,6 +51,9 @@ type Monitor struct {
 	// uninstrumented monitor pays only a nil check; observations never
 	// charge simulated cycles (they must not perturb the cycle model).
 	tel *telemetry.Recorder
+
+	// ckpt is storage the checkpoint SMC reuses from call to call.
+	ckpt ckptScratch
 }
 
 // Config parameterises Install.
@@ -256,8 +259,8 @@ func (k *Monitor) asAddRef(as pagedb.PageNr, delta int32) {
 }
 
 // loadMeasurement reconstructs the running measurement hash from the
-// addrspace page.
-func (k *Monitor) loadMeasurement(as pagedb.PageNr) *sha2.Hash {
+// addrspace page into s.
+func (k *Monitor) loadMeasurement(as pagedb.PageNr, s *sha2.Hash) {
 	base := k.physPage(as)
 	var h [8]uint32
 	for i := range h {
@@ -273,9 +276,7 @@ func (k *Monitor) loadMeasurement(as pagedb.PageNr) *sha2.Hash {
 		buf[i*4+2] = byte(w >> 8)
 		buf[i*4+3] = byte(w)
 	}
-	var s sha2.Hash
 	s.Unmarshal(h, buf, nbuf, length)
-	return &s
 }
 
 // storeMeasurement persists the hash state back and charges compression

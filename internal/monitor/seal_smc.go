@@ -13,6 +13,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cycles"
 	"repro/internal/kapi"
@@ -62,17 +63,14 @@ func (k *Monitor) smcCheckpoint(asPg, destPA, maxWords uint32) (kapi.Err, uint32
 		return kapi.ErrInsecureInvalid, 0, nil
 	}
 
-	// Image the enclave from the abstraction of current secure memory —
-	// the same encoding the spec computes over its abstract PageDB.
-	d, err := k.DecodePageDB()
+	blob, err := k.imageBlob(as)
 	if err != nil {
 		return 0, 0, err
 	}
-	payload, perr := seal.EncodeEnclave(d, as)
-	if perr != nil {
+	if blob == nil {
 		return kapi.ErrInvalidArg, 0, nil
 	}
-	blobLen := uint32(len(payload)) + seal.OverheadWords
+	blobLen := uint32(len(blob))
 	if blobLen > maxWords {
 		return kapi.ErrInvalidArg, 0, nil
 	}
@@ -85,15 +83,69 @@ func (k *Monitor) smcCheckpoint(asPg, destPA, maxWords uint32) (kapi.Err, uint32
 
 	measured := k.asMeasured(as)
 	key := seal.DeriveKey(k.sealRoot, measured)
-	blob := seal.Seal(key, [2]uint32{n0, n1}, seal.KindCheckpoint, measured, payload)
+	seal.SealInPlace(key, [2]uint32{n0, n1}, seal.KindCheckpoint, measured, blob)
 	k.chargeSealCycles(len(blob))
-	for i, w := range blob {
-		if err := k.m.Phys.Write(destPA+uint32(i*4), w, mem.Secure); err != nil {
-			panic(fmt.Sprintf("monitor: checkpoint blob write: %v", err))
-		}
+	if err := k.m.Phys.WriteWords(destPA, blob, mem.Secure); err != nil {
+		panic(fmt.Sprintf("monitor: checkpoint blob write: %v", err))
 	}
 	k.m.Cyc.Charge(cycles.WordWrite * uint64(len(blob)))
 	return kapi.ErrSuccess, blobLen, nil
+}
+
+// ckptScratch is the checkpoint's reused storage: a PageDB that holds
+// only the enclave being imaged, the payloads decoded into it, and the
+// buffer the blob is encoded and sealed in.
+type ckptScratch struct {
+	db       *pagedb.DB
+	payloads payloadStore
+	blob     []uint32
+}
+
+// imageBlob images the enclave rooted at as into the reused blob buffer
+// and returns the blob to seal in place: its payload words hold the
+// image — the encoding the spec computes over its abstract PageDB — with
+// room for the header before them and the tag after. A nil blob means
+// the enclave cannot be imaged (seal.ErrEncode).
+func (k *Monitor) imageBlob(as pagedb.PageNr) ([]uint32, error) {
+	d, err := k.decodeEnclave(as)
+	if err != nil {
+		return nil, err
+	}
+	c := &k.ckpt
+	if cap(c.blob) < seal.HeaderWords {
+		c.blob = make([]uint32, seal.HeaderWords)
+	}
+	img, err := seal.EncodeEnclave(c.blob[:seal.HeaderWords], d, as)
+	if err != nil {
+		return nil, nil
+	}
+	c.blob = slices.Grow(img, seal.TagWords)[:len(img)+seal.TagWords]
+	return c.blob, nil
+}
+
+// decodeEnclave decodes address space as and the pages it owns into the
+// checkpoint's reused PageDB, leaving every other entry free. It reads
+// the type and owner words of every page, as DecodePageDB does, but the
+// payload of the imaged enclave's pages only.
+func (k *Monitor) decodeEnclave(as pagedb.PageNr) (*pagedb.DB, error) {
+	c := &k.ckpt
+	if c.db == nil {
+		c.db = pagedb.New(k.npages)
+	}
+	c.payloads.rewind()
+	for i := range c.db.Pages {
+		n := pagedb.PageNr(i)
+		e := k.entryHead(n)
+		if e.Type == pagedb.TypeFree || e.Owner != as {
+			c.db.Pages[i] = pagedb.Entry{}
+			continue
+		}
+		if err := k.decodePayload(n, &e, &c.payloads); err != nil {
+			return nil, err
+		}
+		c.db.Pages[i] = e
+	}
+	return c.db, nil
 }
 
 func (k *Monitor) smcRestore(srcPA, srcWords, listPA, nPages uint32) (kapi.Err, uint32, error) {
@@ -111,12 +163,8 @@ func (k *Monitor) smcRestore(srcPA, srcWords, listPA, nPages uint32) (kapi.Err, 
 	}
 
 	blob := make([]uint32, srcWords)
-	for i := range blob {
-		w, err := k.m.Phys.Read(srcPA+uint32(i*4), mem.Secure)
-		if err != nil {
-			panic(fmt.Sprintf("monitor: restore blob read: %v", err))
-		}
-		blob[i] = w
+	if err := k.m.Phys.ReadWords(srcPA, blob, mem.Secure); err != nil {
+		panic(fmt.Sprintf("monitor: restore blob read: %v", err))
 	}
 	k.m.Cyc.Charge(cycles.WordRead * uint64(srcWords))
 	k.chargeSealCycles(len(blob))

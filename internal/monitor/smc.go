@@ -28,7 +28,7 @@ func (k *Monitor) HandleSMC() error {
 	entryStart := m.Cyc.Total()
 	m.Cyc.Charge(cycles.SMCEntry + cycles.RegSaveMinimal)
 	k.smcStartCyc = m.Cyc.Total()
-	k.rngTrace = nil
+	k.rngTrace = k.rngTrace[:0]
 	k.trace = nil
 
 	call := m.Reg(arm.R0)
@@ -190,9 +190,10 @@ func (k *Monitor) smcInitThread(asPg, thrPg, entry uint32) (kapi.Err, uint32) {
 	k.wr(k.physPage(th)+thOffEntry, entry)
 	k.pdSet(th, ctThread, as)
 	k.asAddRef(as, 1)
-	s := k.loadMeasurement(as)
+	var s sha2.Hash
+	k.loadMeasurement(as, &s)
 	s.WriteWords([]uint32{kapi.SMCInitThread, entry})
-	k.storeMeasurement(as, s)
+	k.storeMeasurement(as, &s)
 	return kapi.ErrSuccess, 0
 }
 
@@ -312,7 +313,8 @@ func (k *Monitor) smcMapSecure(asPg, dataPg uint32, m kapi.Mapping, contentAddr 
 	// (the longest-running monitor call: "MapSecure initialises and
 	// hashes a single page of memory", §7.2).
 	dstBase := k.physPage(data)
-	s := k.loadMeasurement(as)
+	var s sha2.Hash
+	k.loadMeasurement(as, &s)
 	s.WriteWords([]uint32{kapi.SMCMapSecure, uint32(m)})
 	var contents [mem.PageWords]uint32
 	for i := 0; i < mem.PageWords; i++ {
@@ -327,7 +329,7 @@ func (k *Monitor) smcMapSecure(asPg, dataPg uint32, m kapi.Mapping, contentAddr 
 	}
 	k.m.Cyc.Charge(cycles.PageCopy)
 	s.WriteWords(contents[:])
-	k.storeMeasurement(as, s)
+	k.storeMeasurement(as, &s)
 	k.wr(slot, k.pteFor(dstBase, m, false))
 	k.m.NotePTStore()
 	k.pdSet(data, ctData, as)
@@ -365,7 +367,8 @@ func (k *Monitor) smcFinalise(asPg uint32) (kapi.Err, uint32) {
 	if k.asState(as) != csInit {
 		return err1(kapi.ErrAlreadyFinal)
 	}
-	s := k.loadMeasurement(as)
+	var s sha2.Hash
+	k.loadMeasurement(as, &s)
 	sum := s.SumWords()
 	base := k.physPage(as)
 	for i, w := range sum {

@@ -10,7 +10,7 @@ package nwos
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/kapi"
 	"repro/internal/mem"
@@ -44,33 +44,41 @@ type Manifest struct {
 
 // manifestFor derives the manifest from the OS's own bookkeeping of e.
 func manifestFor(e *Enclave) Manifest {
-	owned := []pagedb.PageNr{e.L1PT}
+	owned := make([]pagedb.PageNr, 0, 1+len(e.Threads)+len(e.L2PTs)+len(e.Data)+len(e.Spares))
+	owned = append(owned, e.L1PT)
 	owned = append(owned, e.Threads...)
 	for _, l2 := range e.L2PTs {
 		owned = append(owned, l2)
 	}
 	owned = append(owned, e.Data...)
 	owned = append(owned, e.Spares...)
-	sort.Slice(owned, func(i, j int) bool { return owned[i] < owned[j] })
-	logical := make(map[pagedb.PageNr]int, len(owned))
-	for i, pg := range owned {
-		logical[pg] = i
+	slices.Sort(owned)
+	logical := func(pg pagedb.PageNr) int {
+		i, _ := slices.BinarySearch(owned, pg)
+		return i
+	}
+	indices := func(pgs []pagedb.PageNr) []int {
+		if len(pgs) == 0 {
+			return nil
+		}
+		out := make([]int, len(pgs))
+		for i, pg := range pgs {
+			out[i] = logical(pg)
+		}
+		return out
 	}
 
-	m := Manifest{NumPages: len(owned), L1: logical[e.L1PT]}
-	for _, th := range e.Threads {
-		m.Threads = append(m.Threads, logical[th])
+	m := Manifest{
+		NumPages: len(owned),
+		L1:       logical(e.L1PT),
+		Threads:  indices(e.Threads),
+		Data:     indices(e.Data),
+		Spares:   indices(e.Spares),
 	}
 	for idx, l2 := range e.L2PTs {
-		m.L2 = append(m.L2, L2Slot{L1Index: idx, Logical: logical[l2]})
+		m.L2 = append(m.L2, L2Slot{L1Index: idx, Logical: logical(l2)})
 	}
-	sort.Slice(m.L2, func(i, j int) bool { return m.L2[i].L1Index < m.L2[j].L1Index })
-	for _, d := range e.Data {
-		m.Data = append(m.Data, logical[d])
-	}
-	for _, sp := range e.Spares {
-		m.Spares = append(m.Spares, logical[sp])
-	}
+	slices.SortFunc(m.L2, func(a, b L2Slot) int { return a.L1Index - b.L1Index })
 	m.SharedPA = append([]uint32(nil), e.SharedPA...)
 	return m
 }

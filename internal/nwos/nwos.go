@@ -145,34 +145,24 @@ func (o *OS) AllocInsecurePage() (uint32, error) {
 	return pa, nil
 }
 
-// WriteInsecure stores words into insecure RAM (normal-world access).
+// WriteInsecure stores words into insecure RAM (normal-world access) as
+// one bulk copy.
 func (o *OS) WriteInsecure(pa uint32, words []uint32) error {
-	for i, w := range words {
-		if err := o.mach.Phys.Write(pa+uint32(i*4), w, mem.Normal); err != nil {
-			if o.tap != nil {
-				o.tap.TapWriteInsecure(pa, words, err)
-			}
-			return err
-		}
-	}
+	err := o.mach.Phys.WriteWords(pa, words, mem.Normal)
 	if o.tap != nil {
-		o.tap.TapWriteInsecure(pa, words, nil)
+		o.tap.TapWriteInsecure(pa, words, err)
 	}
-	return nil
+	return err
 }
 
-// ReadInsecure loads words from insecure RAM.
+// ReadInsecure loads n words from insecure RAM as one bulk copy.
 func (o *OS) ReadInsecure(pa uint32, n int) ([]uint32, error) {
 	out := make([]uint32, n)
-	for i := range out {
-		v, err := o.mach.Phys.Read(pa+uint32(i*4), mem.Normal)
-		if err != nil {
-			if o.tap != nil {
-				o.tap.TapReadInsecure(pa, n, nil, err)
-			}
-			return nil, err
+	if err := o.mach.Phys.ReadWords(pa, out, mem.Normal); err != nil {
+		if o.tap != nil {
+			o.tap.TapReadInsecure(pa, n, nil, err)
 		}
-		out[i] = v
+		return nil, err
 	}
 	if o.tap != nil {
 		o.tap.TapReadInsecure(pa, n, out, nil)

@@ -115,7 +115,8 @@ func (h *Histogram) Mean() time.Duration {
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
 // within the bucket holding the target rank. The estimate is bounded by
 // the bucket's true range, so its relative error is bounded by the
-// log-linear bucket width. Returns 0 when empty.
+// log-linear bucket width, and it never exceeds the largest sample.
+// Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil {
 		return 0
@@ -208,9 +209,11 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 		if i > 0 {
 			lo = bucketBoundsNS[i-1]
 		}
+		// The bucket's samples lie in (lo, hi], and none above the
+		// recorded max, so interpolate no further than that.
 		hi := s.MaxNS
 		if i < len(bucketBoundsNS) {
-			hi = bucketBoundsNS[i]
+			hi = min(hi, bucketBoundsNS[i])
 		}
 		if hi < lo {
 			hi = lo

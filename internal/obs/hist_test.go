@@ -97,6 +97,26 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
+// TestQuantilesNeverExceedMax: 20 samples of 100–119 µs share one
+// bucket, (98.3 µs, 131.1 µs]. Interpolating to the bucket's upper bound
+// put p99 near 129 µs, above the largest sample; every quantile must now
+// stay within [smallest bucket bound, max] and rise with q.
+func TestQuantilesNeverExceedMax(t *testing.T) {
+	h := NewHistogram()
+	for i := range 20 {
+		h.Observe(time.Duration(100+i) * time.Microsecond)
+	}
+	max := h.Max()
+	prev := time.Duration(0)
+	for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 1} {
+		got := h.Quantile(q)
+		if got > max || got < 98*time.Microsecond || got < prev {
+			t.Fatalf("q%.2f = %v, want within [98µs, max %v] and >= q below (%v)", q, got, max, prev)
+		}
+		prev = got
+	}
+}
+
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram()
 	var wg sync.WaitGroup

@@ -11,7 +11,9 @@
 package seal
 
 import (
+	"encoding/binary"
 	"errors"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/mmu"
@@ -105,37 +107,59 @@ func ImageWords(threads, l1, l2, data, spares int) int {
 		threads*threadWords + l1*l1Words + l2*l2Words + data*dataWords
 }
 
-// EncodeEnclave serialises the enclave rooted at as from a decoded
-// PageDB into image payload words. The page order — and therefore the
-// logical index of every page — is OwnedBy(as): ascending PageNr, a
-// fact the untrusted OS can reproduce to build its own manifest.
-func EncodeEnclave(d *pagedb.DB, as pagedb.PageNr) ([]uint32, error) {
+// EncodeEnclave appends to dst the image payload words of the enclave
+// rooted at as in a decoded PageDB, growing dst at most once, to the
+// image's ImageWords size. The page order — and therefore the logical
+// index of every page — is OwnedBy(as): ascending PageNr, a fact the
+// untrusted OS can reproduce to build its own manifest. d needs to hold
+// only as and the pages it owns; every other entry may be left free.
+func EncodeEnclave(dst []uint32, d *pagedb.DB, as pagedb.PageNr) ([]uint32, error) {
 	a := d.Addrspace(as)
 	if a == nil {
 		return nil, ErrEncode
 	}
-	owned := d.OwnedBy(as)
-	logical := make(map[pagedb.PageNr]int, len(owned))
-	for i, pg := range owned {
-		logical[pg] = i
+	// owned is OwnedBy(as), kept on the stack for enclaves of up to 256
+	// pages; a page's logical index is its position in owned.
+	var ownedBuf [256]pagedb.PageNr
+	owned := ownedBuf[:0]
+	var count [pagedb.TypeSpare + 1]int // owned pages by type
+	for i := range d.Pages {
+		e := &d.Pages[i]
+		if e.Type == pagedb.TypeFree || e.Type == pagedb.TypeAddrspace || e.Owner != as {
+			continue
+		}
+		if e.Type < 0 || e.Type > pagedb.TypeSpare {
+			return nil, ErrEncode
+		}
+		owned = append(owned, pagedb.PageNr(i))
+		count[e.Type]++
+	}
+	// logical returns pg's logical index, and whether pg is owned and of
+	// type want.
+	logical := func(pg pagedb.PageNr, want pagedb.PageType) (uint32, bool) {
+		i, ok := slices.BinarySearch(owned, pg)
+		return uint32(i), ok && d.Pages[pg].Type == want
 	}
 
 	l1idx := l1Absent
 	if a.L1PTSet {
-		i, ok := logical[a.L1PT]
-		if !ok || d.Get(a.L1PT).Type != pagedb.TypeL1PT {
+		i, ok := logical(a.L1PT, pagedb.TypeL1PT)
+		if !ok {
 			return nil, ErrEncode
 		}
-		l1idx = uint32(i)
+		l1idx = i
 	}
 
-	out := make([]uint32, 0, imageHeaderWords)
+	out := slices.Grow(dst, ImageWords(count[pagedb.TypeThread], count[pagedb.TypeL1PT],
+		count[pagedb.TypeL2PT], count[pagedb.TypeData], count[pagedb.TypeSpare]))
 	out = append(out, imageVersion, uint32(a.State), uint32(len(owned)), l1idx)
 	out = append(out, a.Measured[:]...)
 	h, buf, nbuf, length := a.Measurement.Marshal()
 	out = append(out, h[:]...)
 	out = append(out, uint32(nbuf), uint32(length), uint32(length>>32))
-	out = append(out, sha2.BytesToWords(buf[:])...)
+	for i := 0; i < sha2.BlockSize; i += 4 {
+		out = append(out, binary.BigEndian.Uint32(buf[i:]))
+	}
 
 	for _, pg := range owned {
 		e := d.Get(pg)
@@ -155,11 +179,11 @@ func EncodeEnclave(d *pagedb.DB, as pagedb.PageNr) ([]uint32, error) {
 					out = append(out, 0)
 					continue
 				}
-				i, ok := logical[e.L1.L2[s]]
-				if !ok || d.Get(e.L1.L2[s]).Type != pagedb.TypeL2PT {
+				i, ok := logical(e.L1.L2[s], pagedb.TypeL2PT)
+				if !ok {
 					return nil, ErrEncode
 				}
-				out = append(out, uint32(i)+1)
+				out = append(out, i+1)
 			}
 		case pagedb.TypeL2PT:
 			out = append(out, imgL2)
@@ -172,11 +196,11 @@ func EncodeEnclave(d *pagedb.DB, as pagedb.PageNr) ([]uint32, error) {
 				flags := uint32(1) | boolWord(le.Secure)<<1 | boolWord(le.Write)<<2 | boolWord(le.Exec)<<3
 				target := le.InsecureAddr
 				if le.Secure {
-					i, ok := logical[le.Page]
-					if !ok || d.Get(le.Page).Type != pagedb.TypeData {
+					i, ok := logical(le.Page, pagedb.TypeData)
+					if !ok {
 						return nil, ErrEncode
 					}
-					target = uint32(i)
+					target = i
 				}
 				out = append(out, flags, target)
 			}
@@ -185,8 +209,6 @@ func EncodeEnclave(d *pagedb.DB, as pagedb.PageNr) ([]uint32, error) {
 			out = append(out, e.Data.Contents[:]...)
 		case pagedb.TypeSpare:
 			out = append(out, imgSpare)
-		default:
-			return nil, ErrEncode
 		}
 	}
 	return out, nil

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"testing"
 )
 
@@ -68,6 +69,35 @@ func TestKeystreamAllocationFree(t *testing.T) {
 	b := testing.AllocsPerRun(20, func() { keystream(key, [2]uint32{1, 2}, long) })
 	if a != 0 || b != 0 {
 		t.Fatalf("keystream allocs: %v for 1 block, %v for 64 blocks; want 0", a, b)
+	}
+}
+
+// TestSealInPlaceAllocationFree: sealing a caller's blob whose payload
+// region already holds the plaintext gives Seal's words and allocates
+// nothing.
+func TestSealInPlaceAllocationFree(t *testing.T) {
+	want := katBlob()
+	blob := make([]uint32, len(want))
+	fill := func() {
+		for i := range len(want) - OverheadWords {
+			blob[HeaderWords+i] = katWord(i)
+		}
+	}
+	meas := [8]uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	nonce := [2]uint32{0x01234567, 0x89abcdef}
+	fill()
+	SealInPlace(katKey(), nonce, KindCheckpoint, meas, blob)
+	if !slices.Equal(blob, want) {
+		t.Fatal("SealInPlace differs from Seal")
+	}
+	if !allocFree {
+		t.Skip("under -race, crypto/sha256's state export allocates")
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		fill()
+		SealInPlace(katKey(), nonce, KindCheckpoint, meas, blob)
+	}); n != 0 {
+		t.Fatalf("SealInPlace: %v allocs per run, want 0", n)
 	}
 }
 

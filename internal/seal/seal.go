@@ -104,21 +104,15 @@ func subKey(key [32]byte, label string) [32]byte {
 
 // keystream XORs the HMAC-CTR keystream for (key, nonce) into dst: block
 // i is HMAC(encKey, nonce[0] ‖ nonce[1] ‖ i) as big-endian words. The key
-// is absorbed once and the 12-byte counter block is encoded in place, so
-// each 8 words of keystream cost two SHA-256 compressions and no
-// allocation.
+// is absorbed once, and sha2's XORKeyStream runs each 8 words of
+// keystream as two fixed-shape HMAC halves on the platform digest, with
+// no allocation.
 func keystream(encKey [32]byte, nonce [2]uint32, dst []uint32) {
+	var prefix [8]byte
+	binary.BigEndian.PutUint32(prefix[0:], nonce[0])
+	binary.BigEndian.PutUint32(prefix[4:], nonce[1])
 	mac := sha2.NewHMAC(encKey[:])
-	var block [12]byte
-	binary.BigEndian.PutUint32(block[0:], nonce[0])
-	binary.BigEndian.PutUint32(block[4:], nonce[1])
-	for i := 0; i < len(dst); i += 8 {
-		binary.BigEndian.PutUint32(block[8:], uint32(i/8))
-		ks := mac.Sum(block[:])
-		for j := 0; j < 8 && i+j < len(dst); j++ {
-			dst[i+j] ^= binary.BigEndian.Uint32(ks[4*j:])
-		}
-	}
+	mac.XORKeyStream(prefix, dst)
 }
 
 // hmacOf is HMAC(key, words as big-endian bytes), with the words streamed
@@ -136,22 +130,33 @@ func Seal(key [32]byte, nonce [2]uint32, kind uint32, measurement [8]uint32, pay
 	if len(payload) > MaxPayloadWords {
 		panic("seal: payload too large")
 	}
-	n := len(payload)
-	blob := make([]uint32, HeaderWords+n+TagWords)
+	blob := make([]uint32, len(payload)+OverheadWords)
+	copy(blob[HeaderWords:], payload)
+	SealInPlace(key, nonce, kind, measurement, blob)
+	return blob
+}
+
+// SealInPlace is Seal for a caller that has already put the plaintext
+// payload at blob[HeaderWords:len(blob)-TagWords]: it fills in the
+// header, encrypts the payload where it lies and writes the tag, so the
+// caller's buffer becomes the sealed blob without a copy. The words are
+// exactly Seal's.
+func SealInPlace(key [32]byte, nonce [2]uint32, kind uint32, measurement [8]uint32, blob []uint32) {
+	n := len(blob) - OverheadWords
+	if n < 0 || n > MaxPayloadWords {
+		panic("seal: blob length out of range")
+	}
 	blob[0] = Magic
 	blob[1] = Version
 	blob[2] = kind
 	blob[3] = uint32(n)
 	copy(blob[4:12], measurement[:])
 	blob[12], blob[13] = nonce[0], nonce[1]
-	ct := blob[HeaderWords : HeaderWords+n]
-	copy(ct, payload)
-	keystream(subKey(key, "komodo-seal-enc-v1"), nonce, ct)
+	keystream(subKey(key, "komodo-seal-enc-v1"), nonce, blob[HeaderWords:HeaderWords+n])
 	tag := hmacOf(subKey(key, "komodo-seal-mac-v1"), blob[:HeaderWords+n])
 	for i := range TagWords {
 		blob[HeaderWords+n+i] = binary.BigEndian.Uint32(tag[4*i:])
 	}
-	return blob
 }
 
 // ParseHeader validates the cleartext framing of a blob without any key:

@@ -16,7 +16,7 @@ func HMAC(key, msg []byte) [Size]byte {
 // HMACKey is an HMAC-SHA256 key with its inner (ipad) and outer (opad)
 // blocks already absorbed, so each Sum under it costs only the message and
 // digest compressions — the form for many MACs under one key, such as
-// the sealing keystream's counter blocks.
+// the sealing keystream's counter blocks (XORKeyStream).
 type HMACKey struct {
 	inner, outer Hash
 }
@@ -67,6 +67,34 @@ func (k *HMACKey) finish(inner *Hash) [Size]byte {
 	outer := k.outer
 	outer.Write(id[:])
 	return outer.Sum()
+}
+
+// XORKeyStream XORs into dst the HMAC-SHA256 counter-mode keystream
+// under k: block i is HMAC(key, prefix ‖ i) with i a big-endian u32,
+// read as eight big-endian words, and a final partial block is cut
+// short. The key's inner and outer chaining states are put into the
+// platform digest's binary form once per call; each block is then two
+// state imports, two writes and two Sums on that digest, each Sum one
+// compression, and nothing is allocated.
+func (k *HMACKey) XORKeyStream(prefix [8]byte, dst []uint32) {
+	e := engines.Get().(*engine)
+	putState(&e.pads[0], &k.inner.h, BlockSize)
+	putState(&e.pads[1], &k.outer.h, BlockSize)
+	msg := e.chunk[:len(prefix)+4]
+	copy(msg, prefix[:])
+	for i := 0; i < len(dst); i += 8 {
+		binary.BigEndian.PutUint32(msg[len(prefix):], uint32(i/8))
+		e.load(e.pads[0][:])
+		e.d.Write(msg)
+		inner := e.d.Sum(e.digest[:0])
+		e.load(e.pads[1][:])
+		e.d.Write(inner)
+		ks := e.d.Sum(e.digest[:0])
+		for j := range dst[i:min(i+8, len(dst))] {
+			dst[i+j] ^= binary.BigEndian.Uint32(ks[4*j:])
+		}
+	}
+	engines.Put(e)
 }
 
 // HMACBlocks reports how many SHA-256 compressions an HMAC over msgLen

@@ -154,9 +154,15 @@ func (s *Hash) SumWords() [8]uint32 {
 // interface keeps callers' blocks and states on their stacks.
 type engine struct {
 	d     hash.Hash
-	app   stateAppender // d's AppendBinary; nil before Go 1.24
+	un    encoding.BinaryUnmarshaler // d's UnmarshalBinary
+	app   stateAppender              // d's AppendBinary; nil before Go 1.24
 	state [marshaledSize]byte
 	chunk [64 * BlockSize]byte
+
+	// pads and digest serve XORKeyStream: an HMAC key's inner and outer
+	// chaining states in d's binary form, and the digest Sum appends to.
+	pads   [2][marshaledSize]byte
+	digest [Size]byte
 }
 
 // stateAppender is encoding.BinaryAppender, declared here because the
@@ -171,23 +177,30 @@ const marshaledSize = 4 + Size + BlockSize + 8
 
 var engines = sync.Pool{New: func() any {
 	e := &engine{d: sha256.New()}
+	e.un = e.d.(encoding.BinaryUnmarshaler)
 	e.app, _ = e.d.(stateAppender)
-	copy(e.state[:], "sha\x03")
 	return e
 }}
 
+// putState writes a chaining state h after length bytes, which must be
+// a whole number of blocks, into st in crypto/sha256's binary form. The
+// buffer bytes are never written and stay zero.
+func putState(st *[marshaledSize]byte, h *[8]uint32, length uint64) {
+	copy(st[:], "sha\x03")
+	for i, w := range h {
+		binary.BigEndian.PutUint32(st[4+4*i:], w)
+	}
+	binary.BigEndian.PutUint64(st[4+Size+BlockSize:], length)
+}
+
 // compress runs the SHA-256 compression function over p, a whole number
 // of blocks, on the platform's SHA-256 block. The engine's buffer and
-// length stay zero, so only h travels in and out.
+// length start at zero, so only h travels in and out.
 func (s *Hash) compress(p []byte) {
 	s.blocks += uint64(len(p) / BlockSize)
 	e := engines.Get().(*engine)
-	for i, h := range s.h {
-		binary.BigEndian.PutUint32(e.state[4+4*i:], h)
-	}
-	if err := e.d.(encoding.BinaryUnmarshaler).UnmarshalBinary(e.state[:]); err != nil {
-		panic("sha2: " + err.Error())
-	}
+	putState(&e.state, &s.h, 0)
+	e.load(e.state[:])
 	for len(p) > 0 {
 		n := copy(e.chunk[:], p)
 		e.d.Write(e.chunk[:n])
@@ -197,8 +210,15 @@ func (s *Hash) compress(p []byte) {
 	for i := range s.h {
 		s.h[i] = binary.BigEndian.Uint32(st[4+4*i:])
 	}
-	binary.BigEndian.PutUint64(e.state[4+Size+BlockSize:], 0)
 	engines.Put(e)
+}
+
+// load imports a binary state into the engine's digest. It cannot fail
+// for a state this package built.
+func (e *engine) load(state []byte) {
+	if err := e.un.UnmarshalBinary(state); err != nil {
+		panic("sha2: " + err.Error())
+	}
 }
 
 // exportState returns the digest's binary state. AppendBinary writes it

@@ -197,6 +197,39 @@ func TestHMACKeyMatchesReference(t *testing.T) {
 	}
 }
 
+// TestXORKeyStreamMatchesReference checks the fixed-shape keystream path
+// against the textbook reference HMAC: block i of the stream XORed into
+// random words must be refHMAC(key, prefix ‖ i) as big-endian words, for
+// every length from 1 to 200 words, partial final blocks included, and
+// for short, block-sized and pre-hashed long keys.
+func TestXORKeyStreamMatchesReference(t *testing.T) {
+	r := mrand.New(mrand.NewSource(5))
+	for _, kl := range []int{0, 32, BlockSize, 131} {
+		key := make([]byte, kl)
+		r.Read(key)
+		k := NewHMAC(key)
+		for n := 1; n <= 200; n++ {
+			var prefix [8]byte
+			r.Read(prefix[:])
+			plain := make([]uint32, n)
+			for i := range plain {
+				plain[i] = r.Uint32()
+			}
+			got := append([]uint32(nil), plain...)
+			k.XORKeyStream(prefix, got)
+			for i := 0; i < n; i += 8 {
+				msg := binary.BigEndian.AppendUint32(prefix[:], uint32(i/8))
+				ks := refHMAC(key, msg)
+				for j := i; j < min(i+8, n); j++ {
+					if want := plain[j] ^ binary.BigEndian.Uint32(ks[4*(j-i):]); got[j] != want {
+						t.Fatalf("key %d bytes, %d words: word %d = %#x, want %#x", kl, n, j, got[j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestHMACKeyConcurrent: goroutines sharing HMACKey values and hashing
 // distinct messages get the stdlib's answers; run under -race, it checks
 // that the pooled engines are never shared.
@@ -248,6 +281,7 @@ func TestAllocationFree(t *testing.T) {
 		{"Sum256", func() { Sum256(msg[:]) }},
 		{"HMACKey.Sum", func() { k.Sum(msg[:12]) }},
 		{"HMACKey.SumWords", func() { k.SumWords(ws[:]) }},
+		{"HMACKey.XORKeyStream", func() { k.XORKeyStream([8]byte{1}, ws[:]) }},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(50, c.f); n != 0 {
@@ -524,14 +558,24 @@ func BenchmarkSHA256_4k(b *testing.B) {
 	}
 }
 
-// BenchmarkHMACKeySum is one keystream block: a 12-byte nonce‖counter
-// message under an already-keyed HMAC.
+// BenchmarkHMACKeySum is one MAC of a 12-byte message under an
+// already-keyed HMAC.
 func BenchmarkHMACKeySum(b *testing.B) {
 	k := NewHMAC(make([]byte, 32))
 	var msg [12]byte
 	for i := 0; i < b.N; i++ {
 		binary.BigEndian.PutUint32(msg[8:], uint32(i))
 		k.Sum(msg[:])
+	}
+}
+
+// BenchmarkXORKeyStream is one seal's keystream: 813 blocks of eight
+// words, the size of a notary checkpoint.
+func BenchmarkXORKeyStream(b *testing.B) {
+	k := NewHMAC(make([]byte, 32))
+	dst := make([]uint32, 813*8)
+	for i := 0; i < b.N; i++ {
+		k.XORKeyStream([8]byte{byte(i)}, dst)
 	}
 }
 

@@ -56,7 +56,7 @@ func Checkpoint(p Params, d *pagedb.DB, asPg pagedb.PageNr, destPA, maxWords uin
 	if destPA%mem.PageSize != 0 || !insecureWindowOK(p, destPA, maxWords) {
 		return d, 0, nil, kapi.ErrInsecureInvalid
 	}
-	payload, err := seal.EncodeEnclave(d, asPg)
+	payload, err := seal.EncodeEnclave(nil, d, asPg)
 	if err != nil {
 		return d, 0, nil, kapi.ErrInvalidArg
 	}

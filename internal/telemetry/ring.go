@@ -63,15 +63,37 @@ func (r *Ring) Snapshot() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.total
-	cap64 := uint64(len(r.buf))
-	if n > cap64 {
-		n = cap64
+	return r.newest(min(r.total, uint64(len(r.buf))))
+}
+
+// Since returns the retained events with sequence numbers at or above
+// mark, oldest first. Events are appended in sequence order, so these
+// form a suffix of the ring: Since walks back from the newest event to
+// find where it starts and copies only that suffix, under the ring lock.
+func (r *Ring) Since(mark uint64) []Event {
+	if r == nil {
+		return nil
 	}
-	out := make([]Event, 0, n)
-	start := r.total - n
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.buf[(start+i)%cap64])
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cap64 := uint64(len(r.buf))
+	n := uint64(0)
+	for n < min(r.total, cap64) && r.buf[(r.total-1-n)%cap64].Seq >= mark {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	return r.newest(n)
+}
+
+// newest copies the n most recent events, oldest first. The caller holds
+// r.mu and n is at most the number retained.
+func (r *Ring) newest(n uint64) []Event {
+	cap64 := uint64(len(r.buf))
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = r.buf[(r.total-n+uint64(i))%cap64]
 	}
 	return out
 }

@@ -252,18 +252,13 @@ func (r *Recorder) SpanTag() uint64 {
 // or above mark (use Ring().Total() before a request as the mark). Events
 // older than the ring capacity are gone; what remains is still a
 // contiguous suffix, so per-request harvesting never sees gaps in the
-// middle.
+// middle. Only that suffix is copied, so the cost follows the events
+// since mark, not the ring's capacity.
 func (r *Recorder) EventsSince(mark uint64) []Event {
 	if r == nil {
 		return nil
 	}
-	all := r.ring.Snapshot()
-	for i, e := range all {
-		if e.Seq >= mark {
-			return all[i:]
-		}
-	}
-	return nil
+	return r.ring.Since(mark)
 }
 
 // emit assigns a sequence number, appends to the ring, and forwards to the

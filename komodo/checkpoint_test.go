@@ -73,6 +73,52 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointAllocationFree: checkpointing the notary allocates the
+// blob the caller keeps plus a small constant — the manifest and the
+// Checkpoint — and nothing in proportion to the image. The monitor images
+// the enclave into a buffer it reuses and seals it in place; the OS
+// copies the blob out of insecure memory once.
+func TestCheckpointAllocationFree(t *testing.T) {
+	if !allocFree {
+		t.Skip("under -race, crypto/sha256's state export allocates")
+	}
+	sys, err := komodo.New(komodo.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := kasm.NotaryGuest(1).Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := sys.LoadEnclave(komodo.FromNWOSImage(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blobBytes int
+	checkpoint := func() {
+		c, err := sys.CheckpointEnclave(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobBytes = 4 * len(c.Blob)
+	}
+	checkpoint() // the monitor's reused buffers grow on the first call
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		checkpoint()
+	}
+	runtime.ReadMemStats(&after)
+	const slack = 2 << 10
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > uint64(blobBytes+slack) {
+		t.Errorf("checkpoint allocated %d bytes per call, want at most the %d-byte blob plus %d", bytes, blobBytes, slack)
+	}
+	if n := (after.Mallocs - before.Mallocs) / runs; n > 10 {
+		t.Errorf("checkpoint made %d allocations per call, want at most 10", n)
+	}
+}
+
 // BenchmarkCheckpoint measures sealing the §8.2 notary enclave (7 secure
 // pages) into a portable checkpoint: wall time per op plus the monitor's
 // charged cycle cost and the blob size as custom metrics.
