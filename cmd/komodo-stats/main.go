@@ -72,7 +72,9 @@ func main() {
 // sniffSnapshot reports whether the input is one merged-snapshot JSON
 // document rather than a JSONL event stream. Event lines also start
 // with '{' but carry a "kind" discriminator and never a "cycles"/"smc"
-// aggregate, and a multi-line stream is not a single valid document.
+// aggregate, and a multi-line stream is not a single valid document. A
+// server's /v1/stats carries its snapshot under "telemetry", a gateway's
+// under "fleet.telemetry".
 func sniffSnapshot(input []byte) (telemetry.Snapshot, bool) {
 	var snap telemetry.Snapshot
 	trimmed := bytes.TrimSpace(input)
@@ -84,6 +86,9 @@ func sniffSnapshot(input []byte) (telemetry.Snapshot, bool) {
 		Cycles    *uint64             `json:"cycles"`
 		SMC       json.RawMessage     `json:"smc"`
 		Telemetry *telemetry.Snapshot `json:"telemetry"`
+		Fleet     *struct {
+			Telemetry *telemetry.Snapshot `json:"telemetry"`
+		} `json:"fleet"`
 	}
 	dec := json.NewDecoder(bytes.NewReader(trimmed))
 	if dec.Decode(&probe) != nil || dec.More() {
@@ -92,6 +97,9 @@ func sniffSnapshot(input []byte) (telemetry.Snapshot, bool) {
 	if probe.Telemetry != nil {
 		// A full /v1/stats response: use its embedded merged snapshot.
 		return *probe.Telemetry, true
+	}
+	if probe.Fleet != nil && probe.Fleet.Telemetry != nil {
+		return *probe.Fleet.Telemetry, true
 	}
 	if probe.Kind != nil || (probe.Cycles == nil && probe.SMC == nil) {
 		return snap, false // a lone event line, or something else

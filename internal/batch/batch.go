@@ -166,70 +166,35 @@ type statsInner struct {
 	lastSize      int
 }
 
-// Stats is the JSON-facing snapshot, mergeable across a fleet.
+// Stats is the JSON-facing snapshot. Its tags declare the /metrics
+// families and the fleet merge (internal/obs).
 type Stats struct {
 	Batches        uint64  `json:"batches"`
-	BatchesFull    uint64  `json:"batches_full"`
-	BatchesWindow  uint64  `json:"batches_window"`
-	BatchesDrain   uint64  `json:"batches_drain"`
-	Signed         uint64  `json:"signed_requests"`
-	SignFailures   uint64  `json:"sign_failures"`
-	Saturated      uint64  `json:"saturated"`
-	CrossingsSaved uint64  `json:"crossings_saved"`
+	BatchesFull    uint64  `json:"batches_full" prom:"komodo_batch_batches_total,close=full" help:"Sealed batches by close reason."`
+	BatchesWindow  uint64  `json:"batches_window" prom:"komodo_batch_batches_total,close=window"`
+	BatchesDrain   uint64  `json:"batches_drain" prom:"komodo_batch_batches_total,close=drain"`
+	Signed         uint64  `json:"signed_requests" prom:"komodo_batch_signed_total" help:"Sign requests answered from a sealed batch."`
+	SignFailures   uint64  `json:"sign_failures" prom:"komodo_batch_sign_failures_total" help:"Batches whose single enclave entry failed (every waiter got a 5xx)."`
+	Saturated      uint64  `json:"saturated" prom:"komodo_batch_saturated_total" help:"Sign requests rejected because the batch queue was full."`
+	CrossingsSaved uint64  `json:"crossings_saved" prom:"komodo_batch_crossings_saved_total" help:"Enclave crossings avoided: signed requests minus batch signatures."`
 	SizeSum        uint64  `json:"size_sum"`
-	MeanSize       float64 `json:"mean_size"`
-	MaxSize        int     `json:"max_size"`
-	LastSize       int     `json:"last_size"`
-	Pending        int     `json:"pending"`
-	FillP50us      float64 `json:"fill_p50_us"`
-	FillP95us      float64 `json:"fill_p95_us"`
+	MeanSize       float64 `json:"mean_size" prom:"komodo_batch_size_mean" help:"Mean sealed-batch size." merge:"-"`
+	MaxSize        int     `json:"max_size" prom:"komodo_batch_size_max" help:"Largest batch sealed so far." merge:"max"`
+	LastSize       int     `json:"last_size" merge:"last"`
+	Pending        int     `json:"pending" prom:"komodo_batch_pending" help:"Requests admitted to the batcher but not yet signed."`
+	// Fill quantiles are not mergeable without the raw histograms; a
+	// fleet view keeps the slowest node's.
+	FillP50us float64 `json:"fill_p50_us" merge:"max"`
+	FillP95us float64 `json:"fill_p95_us" merge:"max"`
 	// KCurrent is the live close threshold (equals MaxBatch when sizing
 	// is fixed); KMin/KMax are the adaptive bounds (0 when fixed). Dedup
 	// counts sign requests coalesced onto an already-pending identical
-	// leaf instead of widening the tree.
-	KCurrent int    `json:"k_current"`
-	KMin     int    `json:"k_min,omitempty"`
-	KMax     int    `json:"k_max,omitempty"`
-	Dedup    uint64 `json:"dedup_total"`
-}
-
-// Merge folds another snapshot into s (fleet-wide aggregation). Fill
-// quantiles are not mergeable without the raw histograms; the max is kept.
-func (s *Stats) Merge(o Stats) {
-	s.Batches += o.Batches
-	s.BatchesFull += o.BatchesFull
-	s.BatchesWindow += o.BatchesWindow
-	s.BatchesDrain += o.BatchesDrain
-	s.Signed += o.Signed
-	s.SignFailures += o.SignFailures
-	s.Saturated += o.Saturated
-	s.CrossingsSaved += o.CrossingsSaved
-	s.SizeSum += o.SizeSum
-	if s.Batches > 0 {
-		s.MeanSize = float64(s.SizeSum) / float64(s.Batches)
-	}
-	if o.MaxSize > s.MaxSize {
-		s.MaxSize = o.MaxSize
-	}
-	s.LastSize = o.LastSize
-	s.Pending += o.Pending
-	if o.FillP50us > s.FillP50us {
-		s.FillP50us = o.FillP50us
-	}
-	if o.FillP95us > s.FillP95us {
-		s.FillP95us = o.FillP95us
-	}
-	// K is a per-node gauge; a fleet merge keeps the widest view.
-	if o.KCurrent > s.KCurrent {
-		s.KCurrent = o.KCurrent
-	}
-	if s.KMin == 0 || (o.KMin > 0 && o.KMin < s.KMin) {
-		s.KMin = o.KMin
-	}
-	if o.KMax > s.KMax {
-		s.KMax = o.KMax
-	}
-	s.Dedup += o.Dedup
+	// leaf instead of widening the tree. A fleet view keeps the widest K
+	// range.
+	KCurrent int    `json:"k_current" prom:"komodo_batch_k_current" help:"Current close threshold K (fixed MaxBatch, or the adaptive controller's pick)." merge:"max"`
+	KMin     int    `json:"k_min,omitempty" merge:"min"`
+	KMax     int    `json:"k_max,omitempty" merge:"max"`
+	Dedup    uint64 `json:"dedup_total" prom:"komodo_batch_dedup_total" help:"Sign requests coalesced onto another request's leaf (identical doc and tenant)."`
 }
 
 // New builds an Aggregator. cfg.Sign is required; MaxBatch defaults to 16,

@@ -131,27 +131,28 @@ func (b *backend) observe(status int, dur time.Duration, netErr bool) {
 	b.lat.Observe(dur)
 }
 
-// BackendStatus is the public per-backend view inside FleetStats.
+// BackendStatus is the public per-backend view inside FleetStats. Its
+// prom tags define the gateway's per-backend families, labelled by name.
 type BackendStatus struct {
-	Name  string `json:"name"`
+	Name  string `json:"name" prom:"backend"`
 	URL   string `json:"url"`
 	State string `json:"state"`
 	// ForwardedTo names the backend this one's shards were migrated to
 	// ("" when the backend owns its ring arc).
 	ForwardedTo string `json:"forwarded_to,omitempty"`
 
-	Probes      uint64 `json:"probes"`
-	ProbeFails  uint64 `json:"probe_fails"`
-	Transitions uint64 `json:"transitions"`
+	Probes      uint64 `json:"probes" prom:"komodo_gateway_backend_probes_total" help:"Health probes sent per backend."`
+	ProbeFails  uint64 `json:"probe_fails" prom:"komodo_gateway_backend_probe_fails_total" help:"Failed health probes per backend."`
+	Transitions uint64 `json:"transitions" prom:"komodo_gateway_backend_transitions_total" help:"Up/down state flips per backend."`
 	LastProbeMS int64  `json:"last_probe_unix_ms,omitempty"`
 
-	InFlight  int64  `json:"in_flight"`
+	InFlight  int64  `json:"in_flight" prom:"komodo_gateway_backend_in_flight" help:"Proxied requests currently outstanding per backend."`
 	Requests  uint64 `json:"requests"`
-	OK        uint64 `json:"ok"`
-	Rejected  uint64 `json:"rejected_429"`
-	Unavail   uint64 `json:"unavailable_503"`
-	BadStatus uint64 `json:"bad_status"`
-	NetErrors uint64 `json:"net_errors"`
+	OK        uint64 `json:"ok" prom:"komodo_gateway_backend_responses_total,result=ok" help:"Proxied responses per backend by result class."`
+	Rejected  uint64 `json:"rejected_429" prom:"komodo_gateway_backend_responses_total,result=rejected_429"`
+	Unavail   uint64 `json:"unavailable_503" prom:"komodo_gateway_backend_responses_total,result=unavailable_503"`
+	BadStatus uint64 `json:"bad_status" prom:"komodo_gateway_backend_responses_total,result=bad_status"`
+	NetErrors uint64 `json:"net_errors" prom:"komodo_gateway_backend_responses_total,result=net_error"`
 
 	P50ms float64 `json:"p50_ms"`
 	P95ms float64 `json:"p95_ms"`

@@ -9,16 +9,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/store"
-	"repro/internal/telemetry"
-	"repro/internal/tenant"
 )
 
 // Config configures New.
@@ -630,20 +628,21 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	g.reply(w, status, body)
 }
 
-// GatewayStats is the gateway-local counter block of FleetStats.
+// GatewayStats is the gateway-local counter block of FleetStats. Its prom
+// tags define the edge families of the gateway's /metrics.
 type GatewayStats struct {
-	Requests     uint64 `json:"requests"`
-	Proxied      uint64 `json:"proxied"`
-	Failovers    uint64 `json:"failovers"`
-	Migrations   uint64 `json:"migrations"`
-	Shed429      uint64 `json:"rejected_429"`
-	NoBackend503 uint64 `json:"no_backend_503"`
-	Migrating503 uint64 `json:"migrating_503"`
-	Draining503  uint64 `json:"rejected_draining_503"`
-	BadGateway   uint64 `json:"bad_gateway_502"`
+	Requests     uint64 `json:"requests" prom:"komodo_gateway_requests_total" help:"Requests hitting the gateway's proxied endpoints."`
+	Proxied      uint64 `json:"proxied" prom:"komodo_gateway_proxied_total" help:"Requests that reached some backend."`
+	Failovers    uint64 `json:"failovers" prom:"komodo_gateway_failovers_total" help:"Shard requests served by a non-owner because the owner was down."`
+	Migrations   uint64 `json:"migrations" prom:"komodo_gateway_migrations_total" help:"Completed live migrations."`
+	Shed429      uint64 `json:"rejected_429" prom:"komodo_gateway_rejections_total,reason=saturated_429" help:"Gateway-originated rejections by reason (all carry Retry-After)."`
+	NoBackend503 uint64 `json:"no_backend_503" prom:"komodo_gateway_rejections_total,reason=no_backend_503"`
+	Migrating503 uint64 `json:"migrating_503" prom:"komodo_gateway_rejections_total,reason=migrating_503"`
+	Draining503  uint64 `json:"rejected_draining_503" prom:"komodo_gateway_rejections_total,reason=draining_503"`
+	BadGateway   uint64 `json:"bad_gateway_502" prom:"komodo_gateway_rejections_total,reason=bad_gateway_502"`
 	BackendsUp   int    `json:"backends_up"`
 	BackendsDown int    `json:"backends_down"`
-	InFlight     int    `json:"in_flight"`
+	InFlight     int    `json:"in_flight" prom:"komodo_gateway_in_flight" help:"Requests currently holding a gateway slot."`
 }
 
 // FleetRejected is the per-backend rejection summary the fleet view
@@ -659,9 +658,8 @@ type FleetRejected struct {
 
 // FleetStats is the gateway's /v1/stats body: gateway counters, the
 // per-backend view (probe state, proxy outcomes, per-backend latency
-// quantiles, each backend's own /v1/stats), and the fleet-wide merge —
-// server counters summed and monitor telemetry combined with
-// telemetry.Merge across every reachable backend.
+// quantiles, each backend's own /v1/stats), and the fleet-wide merge of
+// every reachable backend's /v1/stats (server.StatsResponse.Merge).
 type FleetStats struct {
 	Gateway  GatewayStats    `json:"gateway"`
 	Backends []BackendStatus `json:"backends"`
@@ -673,33 +671,14 @@ type FleetStats struct {
 	BackendStats map[string]*server.StatsResponse `json:"backend_stats"`
 	Fleet        struct {
 		Backends int `json:"backends_reporting"`
-		Server   struct {
-			Requests       uint64 `json:"requests"`
-			Served         uint64 `json:"served"`
-			Rejected       uint64 `json:"rejected_429"`
-			TenantRejected uint64 `json:"tenant_rejected_429"`
-			Timeouts       uint64 `json:"timeouts_503"`
-			Draining       uint64 `json:"rejected_draining_503"`
-			Failures       uint64 `json:"failures_5xx"`
-		} `json:"server"`
-		// Batch sums every reporting backend's batched-signing counters;
-		// Store sums their WAL write-path counters; Tenants merges
-		// per-tier admission ledgers by tier name. All are nil/empty
-		// when no backend has the feature enabled.
-		Batch     *batch.Stats       `json:"batch,omitempty"`
-		Store     *store.Stats       `json:"store,omitempty"`
-		Tenants   []tenant.TierStats `json:"tenants,omitempty"`
-		Sampled   int                `json:"telemetry_workers_sampled"`
-		Telemetry telemetry.Snapshot `json:"telemetry"`
+		server.StatsResponse
 	} `json:"fleet"`
 }
 
-// Stats assembles the fleet view, fanning /v1/stats out to every backend
-// concurrently (bounded by ProbeTimeout per backend — stats fetches ride
-// the health-check budget, not the request budget).
-func (g *Gateway) Stats() FleetStats {
-	var out FleetStats
-	out.Gateway = GatewayStats{
+// edgeStats reads the gateway's own counters and per-backend probe and
+// proxy state, without contacting the backends.
+func (g *Gateway) edgeStats() (GatewayStats, []BackendStatus) {
+	gs := GatewayStats{
 		Requests:     g.requests.Load(),
 		Proxied:      g.proxied.Load(),
 		Failovers:    g.failovers.Load(),
@@ -711,86 +690,63 @@ func (g *Gateway) Stats() FleetStats {
 		BadGateway:   g.badGateway.Load(),
 		InFlight:     len(g.slots),
 	}
-	out.BackendStats = map[string]*server.StatsResponse{}
-
-	type fetched struct {
-		i  int
-		st *server.StatsResponse
-	}
-	ch := make(chan fetched, len(g.backends))
+	backends := make([]BackendStatus, len(g.backends))
 	for i, b := range g.backends {
-		out.Backends = append(out.Backends, b.status())
-		if b.State() == StateUp {
-			out.Gateway.BackendsUp++
+		backends[i] = b.status()
+		if backends[i].State == StateUp.String() {
+			gs.BackendsUp++
 		} else {
-			out.Gateway.BackendsDown++
+			gs.BackendsDown++
 		}
 		g.mu.RLock()
 		if to, ok := g.forward[i]; ok {
-			out.Backends[i].ForwardedTo = g.backends[to].name
+			backends[i].ForwardedTo = g.backends[to].name
 		}
 		g.mu.RUnlock()
-		go func(i int, b *backend) {
-			st, err := g.fetchStats(b)
-			if err != nil {
-				ch <- fetched{i, nil}
-				return
-			}
-			ch <- fetched{i, st}
-		}(i, b)
 	}
-
-	var snaps []telemetry.Snapshot
-	for range g.backends {
-		f := <-ch
-		b := g.backends[f.i]
-		if f.st == nil {
-			out.BackendStats[b.name] = nil
-			continue
-		}
-		out.BackendStats[b.name] = f.st
-		out.Rejected = append(out.Rejected, FleetRejected{
-			Backend:     b.name,
-			Rejected429: f.st.Server.Rejected,
-			Timeouts503: f.st.Server.Timeouts,
-			Draining503: f.st.Server.Draining,
-			Failures5xx: f.st.Server.Failures,
-		})
-		out.Fleet.Backends++
-		out.Fleet.Server.Requests += f.st.Server.Requests
-		out.Fleet.Server.Served += f.st.Server.Served
-		out.Fleet.Server.Rejected += f.st.Server.Rejected
-		out.Fleet.Server.TenantRejected += f.st.Server.TenantRejected
-		out.Fleet.Server.Timeouts += f.st.Server.Timeouts
-		out.Fleet.Server.Draining += f.st.Server.Draining
-		out.Fleet.Server.Failures += f.st.Server.Failures
-		if f.st.Batch != nil {
-			if out.Fleet.Batch == nil {
-				out.Fleet.Batch = &batch.Stats{}
-			}
-			out.Fleet.Batch.Merge(*f.st.Batch)
-		}
-		if f.st.Store != nil {
-			if out.Fleet.Store == nil {
-				out.Fleet.Store = &store.Stats{}
-			}
-			out.Fleet.Store.Merge(*f.st.Store)
-		}
-		out.Fleet.Tenants = tenant.MergeStats(out.Fleet.Tenants, f.st.Tenants)
-		out.Fleet.Sampled += f.st.Sampled
-		snaps = append(snaps, f.st.Telemetry)
-	}
-	sortRejected(out.Rejected)
-	out.Fleet.Telemetry = telemetry.Merge(snaps...)
-	return out
+	return gs, backends
 }
 
-func sortRejected(rs []FleetRejected) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Backend < rs[j-1].Backend; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
+// Stats assembles the fleet view, fanning /v1/stats out to every backend
+// concurrently (bounded by ProbeTimeout per backend — stats fetches ride
+// the health-check budget, not the request budget). The fleet merge runs
+// in backend order once every fetch has finished, so fields that keep the
+// last value and the order of newly seen keys do not depend on which
+// backend answered first.
+func (g *Gateway) Stats() FleetStats {
+	var out FleetStats
+	out.Gateway, out.Backends = g.edgeStats()
+	out.BackendStats = map[string]*server.StatsResponse{}
+
+	fetched := make([]*server.StatsResponse, len(g.backends))
+	var wg sync.WaitGroup
+	for i, b := range g.backends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// An unreachable backend stays nil: listed, not merged.
+			fetched[i], _ = g.fetchStats(b)
+		}()
 	}
+	wg.Wait()
+
+	for i, st := range fetched {
+		out.BackendStats[g.backends[i].name] = st
+		if st == nil {
+			continue
+		}
+		out.Rejected = append(out.Rejected, FleetRejected{
+			Backend:     g.backends[i].name,
+			Rejected429: st.Server.Rejected,
+			Timeouts503: st.Server.Timeouts,
+			Draining503: st.Server.Draining,
+			Failures5xx: st.Server.Failures,
+		})
+		out.Fleet.Backends++
+		out.Fleet.Merge(*st)
+	}
+	slices.SortFunc(out.Rejected, func(a, b FleetRejected) int { return strings.Compare(a.Backend, b.Backend) })
+	return out
 }
 
 // fetchStats pulls one backend's /v1/stats. A draining backend answers

@@ -147,30 +147,30 @@ func (w *Worker) Rebase() {
 
 // Stats is a point-in-time view of pool activity.
 type Stats struct {
-	Size        int    `json:"size"`      // configured worker slots
-	Live        int    `json:"live"`      // slots with a working board
-	Dead        int    `json:"dead"`      // slots abandoned after boot failures
-	Available   int    `json:"available"` // idle workers ready for Get
-	InFlight    int    `json:"in_flight"` // checked-out workers
-	Mode        string `json:"mode"`      // snapshot | boot-each
-	Gets        uint64 `json:"gets"`      // successful checkouts
-	Puts        uint64 `json:"puts"`      // releases
-	Boots       uint64 `json:"boots"`     // full board boots (incl. initial)
-	Restores    uint64 `json:"restores"`  // golden-snapshot restores
-	Retires     uint64 `json:"retires"`   // workers retired (Fail/health/reuse)
-	HealthFails uint64 `json:"health_fails"`
-	BootNS      uint64 `json:"boot_ns"`    // cumulative wall time booting
-	RestoreNS   uint64 `json:"restore_ns"` // cumulative wall time restoring
+	Size        int    `json:"size"`                                                                     // configured worker slots
+	Live        int    `json:"live" prom:"komodo_pool_workers,state=live" help:"Worker slots by state."` // slots with a working board
+	Dead        int    `json:"dead" prom:"komodo_pool_workers,state=dead"`                               // slots abandoned after boot failures
+	Available   int    `json:"available" prom:"komodo_pool_workers,state=available"`                     // idle workers ready for Get
+	InFlight    int    `json:"in_flight" prom:"komodo_pool_workers,state=in_flight"`                     // checked-out workers
+	Mode        string `json:"mode"`                                                                     // snapshot | boot-each
+	Gets        uint64 `json:"gets" prom:"komodo_pool_gets_total" help:"Successful worker checkouts."`
+	Puts        uint64 `json:"puts" prom:"komodo_pool_puts_total" help:"Worker releases."`
+	Boots       uint64 `json:"boots" prom:"komodo_pool_boots_total" help:"Full board boots, including the initial ones."`
+	Restores    uint64 `json:"restores" prom:"komodo_pool_restores_total" help:"Golden-snapshot restores."`
+	Retires     uint64 `json:"retires" prom:"komodo_pool_retires_total" help:"Workers retired (Fail, health check, reuse limit)."`
+	HealthFails uint64 `json:"health_fails" prom:"komodo_pool_health_fails_total" help:"Post-restore health-check failures."`
+	BootNS      uint64 `json:"boot_ns" prom:"komodo_pool_boot_seconds_total" help:"Cumulative wall time booting boards."`
+	RestoreNS   uint64 `json:"restore_ns" prom:"komodo_pool_restore_seconds_total" help:"Cumulative wall time restoring snapshots."`
 
 	// Delta-restore accounting (internal/mem dirty-page tracking): how
 	// many of the golden-snapshot restores were deltas, and how many
 	// words/pages they actually copied. RestoreWordsFull is what the
 	// same restores would have cost without dirty tracking (restores ×
 	// full board size) — the words-copied-per-restore win in one ratio.
-	DeltaRestores    uint64 `json:"delta_restores"`
-	RestoreWords     uint64 `json:"restore_words"`
+	DeltaRestores    uint64 `json:"delta_restores" prom:"komodo_pool_delta_restores_total" help:"Golden-snapshot restores served by the dirty-page delta path."`
+	RestoreWords     uint64 `json:"restore_words" prom:"komodo_pool_restore_words_total,kind=copied" help:"Memory words golden-snapshot restores actually copied (delta restore), vs. what full copies of the same restores would have moved."`
 	RestorePages     uint64 `json:"restore_pages"`
-	RestoreWordsFull uint64 `json:"restore_words_full"`
+	RestoreWordsFull uint64 `json:"restore_words_full" prom:"komodo_pool_restore_words_total,kind=full_equivalent"`
 }
 
 // Pool is a warm pool of booted boards.

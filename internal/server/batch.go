@@ -183,15 +183,18 @@ type BatchProof struct {
 // with the aggregator, wait for the sealed batch's receipt, and reply with
 // the shared (root, counter, MAC) plus this request's inclusion proof.
 func (s *Server) handleBatchSign(w http.ResponseWriter, r *http.Request, doc []byte) {
+	// Like the unbatched path, a malformed request is refused before it
+	// counts as admitted, so every counted request lands in one response
+	// class.
+	nonce, err := mintNonce(r.Header.Get(NonceHeader))
+	if err != nil {
+		s.replyErr(w, http.StatusBadRequest, "bad %s: %v", NonceHeader, err)
+		return
+	}
 	s.requests.Add(1)
 	if s.draining.Load() {
 		w.Header().Set(RejectHeader, RejectDrain)
 		s.replyDraining(w)
-		return
-	}
-	nonce, err := mintNonce(r.Header.Get(NonceHeader))
-	if err != nil {
-		s.replyErr(w, http.StatusBadRequest, "bad %s: %v", NonceHeader, err)
 		return
 	}
 	h := sha2.New()

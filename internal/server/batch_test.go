@@ -168,6 +168,63 @@ func TestBatchNonceHeader(t *testing.T) {
 	}
 }
 
+// TestResponseClassesAddUp drives a batched server with admission
+// through a mix of served signs and attests, admission rejections and a
+// malformed nonce, and checks that /metrics accounts for every counted
+// request in exactly one response class.
+func TestResponseClassesAddUp(t *testing.T) {
+	reg, err := tenant.NewRegistry([]tenant.TierSpec{
+		{Name: "gold"},
+		{Name: "free", Rate: 0.0001, Burst: 1},
+	}, map[string]string{"tok-g": "gold", "tok-f": "free"}, "free")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPool(t, pool.Config{Size: 1})
+	srv := New(Config{Pool: p, Admission: reg, BatchMaxSize: 4, BatchWindow: 2 * time.Millisecond})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	sign := func(token, nonce string, want int) {
+		t.Helper()
+		hdr := map[string]string{TenantHeader: token}
+		if nonce != "" {
+			hdr[NonceHeader] = nonce
+		}
+		if resp, _ := postDoc(t, http.DefaultClient, ts.URL, []byte("doc"), hdr); resp.StatusCode != want {
+			t.Fatalf("sign (%s, nonce %q): status %d, want %d", token, nonce, resp.StatusCode, want)
+		}
+	}
+	sign("tok-g", "", http.StatusOK)
+	sign("tok-f", "", http.StatusOK)
+	sign("tok-f", "", http.StatusTooManyRequests)
+	sign("tok-f", "", http.StatusTooManyRequests)
+	sign("tok-g", "zz", http.StatusBadRequest)
+	if code := getJSON(t, ts.URL+"/v1/attest?nonce=n", nil); code != http.StatusOK {
+		t.Fatalf("attest: %d", code)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	fams := parsePromText(t, string(body))
+	requests := fams["komodo_server_requests_total"].samples["komodo_server_requests_total"]
+	var classes float64
+	for _, v := range fams["komodo_server_responses_total"].samples {
+		classes += v
+	}
+	if requests != 5 || classes != requests {
+		t.Fatalf("requests_total %v, response classes sum to %v; want 5 and 5", requests, classes)
+	}
+	if v := fams["komodo_server_responses_total"].samples[`komodo_server_responses_total{result="tenant_rejected_429"}`]; v != 2 {
+		t.Fatalf("tenant_rejected_429 class = %v, want 2", v)
+	}
+}
+
 // TestTenantAdmissionOverHTTP: tenant tokens map to tiers; an exhausted
 // rate bucket yields 429 + Retry-After + X-Komodo-Reject: rate_limit, and
 // the tier lands in X-Komodo-Tier and the leaf's tenant label.

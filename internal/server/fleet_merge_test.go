@@ -5,36 +5,57 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/pool"
 	"repro/internal/telemetry"
+	"repro/internal/tenant"
 )
 
 // TestCrossServerTelemetryMerge drives two independent serving stacks —
-// separate pools, separate boards, different request mixes so the
-// counters diverge — pulls each one's /v1/stats over HTTP (the snapshots
-// JSON-round-trip exactly as they do between real processes), and checks
-// telemetry.Merge produces the fleet view a gateway reports: counter
-// families sum, per-call SMC streams combine, and nothing is lost when
-// one side has activity the other does not.
+// separate pools, boards, checkpoint stores and tier registries, with
+// batching and admission on and different request mixes so the counters
+// diverge — pulls each one's /v1/stats over HTTP (the views JSON-round-trip
+// exactly as they do between real processes), and checks that
+// StatsResponse.Merge produces the fleet view a gateway reports: server,
+// pool, batch, store and tenant counters sum, maxima and last values
+// follow their merge tags, means are recomputed, tiers merge by name,
+// per-call SMC streams combine, and nothing is lost when one side has
+// activity the other does not.
 func TestCrossServerTelemetryMerge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots real enclave boards")
 	}
-	boot := func() (*pool.Pool, *httptest.Server) {
-		p := newPool(t, pool.Config{Size: 1})
-		ts := httptest.NewServer(New(Config{Pool: p}))
-		t.Cleanup(ts.Close)
-		return p, ts
+	boot := func(tiers ...string) *httptest.Server {
+		var specs []tenant.TierSpec
+		for _, name := range tiers {
+			specs = append(specs, tenant.TierSpec{Name: name})
+		}
+		reg, err := tenant.NewRegistry(specs, map[string]string{"tok": tiers[1]}, tiers[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := OpenCheckpointStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newPool(t, pool.Config{Size: 1, Provision: RestoreProvision(cs)})
+		srv := New(Config{Pool: p, Checkpoints: cs, Admission: reg,
+			BatchMaxSize: 4, BatchWindow: 2 * time.Millisecond})
+		ts := httptest.NewServer(srv)
+		t.Cleanup(func() { ts.Close(); srv.Close(); cs.Close() })
+		return ts
 	}
-	_, tsA := boot()
-	_, tsB := boot()
+	tsA := boot("gold", "free")
+	tsB := boot("gold", "silver")
 
-	// Different mixes: A attests 4 times, B attests once and signs 3
-	// documents — so A and B share metric families (attest path) but
-	// diverge in volume, and B has notary SVC activity A lacks.
+	// Different mixes: A attests 4 times and signs once, B attests once
+	// and signs 3 documents (two under its second tier) — so A and B
+	// share metric families but diverge in volume, and each has a tier
+	// the other lacks.
 	for i := 0; i < 4; i++ {
 		if code := getJSON(t, tsA.URL+"/v1/attest?nonce=a"+fmt.Sprint(i), nil); code != 200 {
 			t.Fatalf("attest A: %d", code)
@@ -43,14 +64,15 @@ func TestCrossServerTelemetryMerge(t *testing.T) {
 	if code := getJSON(t, tsB.URL+"/v1/attest?nonce=b", nil); code != 200 {
 		t.Fatalf("attest B: %d", code)
 	}
+	sign := func(url, token, doc string) {
+		t.Helper()
+		if resp, _ := postDoc(t, http.DefaultClient, url, []byte(doc), map[string]string{TenantHeader: token}); resp.StatusCode != 200 {
+			t.Fatalf("sign %s: %d", url, resp.StatusCode)
+		}
+	}
+	sign(tsA.URL, "", "doc-a")
 	for i := 0; i < 3; i++ {
-		resp, err := httpPost(tsB.URL+"/v1/notary/sign", "doc-"+fmt.Sprint(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp != 200 {
-			t.Fatalf("sign B: %d", resp)
-		}
+		sign(tsB.URL, []string{"", "tok", "tok"}[i], "doc-"+fmt.Sprint(i))
 	}
 
 	// Pull both stats over the wire, exactly as a gateway does.
@@ -65,7 +87,51 @@ func TestCrossServerTelemetryMerge(t *testing.T) {
 		t.Fatalf("telemetry sampling broken: A=%d B=%d workers", stA.Sampled, stB.Sampled)
 	}
 
-	merged := telemetry.Merge(stA.Telemetry, stB.Telemetry)
+	var fleet StatsResponse
+	fleet.Merge(stA)
+	fleet.Merge(stB)
+
+	a, b, f := stA.Server, stB.Server, fleet.Server
+	if f.Requests != a.Requests+b.Requests || f.Served != a.Served+b.Served ||
+		f.TenantRejected != a.TenantRejected+b.TenantRejected || f.Queue != a.Queue+b.Queue {
+		t.Fatalf("server counters not summed: %+v + %+v = %+v", a, b, f)
+	}
+	if p := fleet.Pool; p.Gets != stA.Pool.Gets+stB.Pool.Gets || p.Boots != stA.Pool.Boots+stB.Pool.Boots ||
+		p.Live != 2 || p.Mode != stA.Pool.Mode {
+		t.Fatalf("pool merge: %+v", p)
+	}
+	if stA.Batch == nil || stB.Batch == nil || fleet.Batch == nil {
+		t.Fatal("batch stats missing")
+	}
+	if bt := fleet.Batch; bt.Signed != 4 || bt.Batches != stA.Batch.Batches+stB.Batch.Batches ||
+		bt.MaxSize != max(stA.Batch.MaxSize, stB.Batch.MaxSize) || bt.LastSize != stB.Batch.LastSize ||
+		bt.MeanSize != float64(bt.SizeSum)/float64(bt.Batches) || bt.KCurrent != 4 {
+		t.Fatalf("batch merge: %+v", bt)
+	}
+	if stA.Store == nil || stB.Store == nil || fleet.Store == nil {
+		t.Fatal("store stats missing")
+	}
+	if st := fleet.Store; st.Appends != stA.Store.Appends+stB.Store.Appends || st.Appends == 0 ||
+		st.GroupLast != stB.Store.GroupLast || st.MeanGroup() != 1 {
+		t.Fatalf("store merge: %+v", st)
+	}
+	var tiers []string
+	for _, ts := range fleet.Tenants {
+		tiers = append(tiers, fmt.Sprintf("%s:%d", ts.Tier, ts.Admitted))
+	}
+	// Attests count against the default tier too: gold is 5 on A and 2
+	// on B; free exists on A only, silver on B only.
+	if got := strings.Join(tiers, " "); got != "gold:7 free:0 silver:2" {
+		t.Fatalf("tenant merge: %s", got)
+	}
+	if fleet.Sampled != stA.Sampled+stB.Sampled {
+		t.Fatalf("sampled %d", fleet.Sampled)
+	}
+
+	merged := fleet.Telemetry
+	if !reflect.DeepEqual(merged, telemetry.Merge(stA.Telemetry, stB.Telemetry)) {
+		t.Fatal("fleet telemetry differs from telemetry.Merge of the two snapshots")
+	}
 
 	if merged.Cycles != stA.Telemetry.Cycles+stB.Telemetry.Cycles {
 		t.Fatalf("merged cycles %d != %d + %d", merged.Cycles, stA.Telemetry.Cycles, stB.Telemetry.Cycles)
@@ -83,21 +149,21 @@ func TestCrossServerTelemetryMerge(t *testing.T) {
 		}
 		return out
 	}
-	a, b, m := sumBy(stA.Telemetry), sumBy(stB.Telemetry), sumBy(merged)
-	if len(a) == 0 || len(b) == 0 {
+	sa, sb, m := sumBy(stA.Telemetry), sumBy(stB.Telemetry), sumBy(merged)
+	if len(sa) == 0 || len(sb) == 0 {
 		t.Fatal("one side reported no SMC activity at all")
 	}
-	for name := range a {
-		want := a[name].Count + b[name].Count
+	for name := range sa {
+		want := sa[name].Count + sb[name].Count
 		if m[name].Count != want {
 			t.Fatalf("SMC %s merged count %d, want %d", name, m[name].Count, want)
 		}
-		wantCyc := a[name].Cycles + b[name].Cycles
+		wantCyc := sa[name].Cycles + sb[name].Cycles
 		if m[name].Cycles != wantCyc {
 			t.Fatalf("SMC %s merged cycles %d, want %d", name, m[name].Cycles, wantCyc)
 		}
 	}
-	for name := range b {
+	for name := range sb {
 		if _, ok := m[name]; !ok {
 			t.Fatalf("SMC %s present on B lost in merge", name)
 		}

@@ -773,17 +773,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsResponse is the /v1/stats body: server counters, pool counters,
-// and one telemetry snapshot merged across the currently idle boards.
+// and one telemetry snapshot merged across the currently idle boards. Its
+// prom and merge tags (and those of the structs it holds) also define the
+// /metrics families and the gateway's fleet merge (internal/obs).
 type StatsResponse struct {
 	Server struct {
-		Requests       uint64 `json:"requests"`
-		Served         uint64 `json:"served"`
-		Rejected       uint64 `json:"rejected_429"`
-		TenantRejected uint64 `json:"tenant_rejected_429"`
-		Timeouts       uint64 `json:"timeouts_503"`
-		Draining       uint64 `json:"rejected_draining_503"`
-		Failures       uint64 `json:"failures_5xx"`
-		Queue          int    `json:"queue_depth"`
+		Requests       uint64 `json:"requests" prom:"komodo_server_requests_total" help:"Requests admitted to the worker path (attest, notary, checkpoint, restore)."`
+		Served         uint64 `json:"served" prom:"komodo_server_responses_total,result=served" help:"Worker-path responses by result class."`
+		Rejected       uint64 `json:"rejected_429" prom:"komodo_server_responses_total,result=rejected_429"`
+		TenantRejected uint64 `json:"tenant_rejected_429" prom:"komodo_server_responses_total,result=tenant_rejected_429"`
+		Timeouts       uint64 `json:"timeouts_503" prom:"komodo_server_responses_total,result=timeout_503"`
+		Draining       uint64 `json:"rejected_draining_503" prom:"komodo_server_responses_total,result=draining_503"`
+		Failures       uint64 `json:"failures_5xx" prom:"komodo_server_responses_total,result=failure_5xx"`
+		Queue          int    `json:"queue_depth" prom:"komodo_server_queue_limit" help:"Configured service-slot bound (QueueDepth)."`
 	} `json:"server"`
 	// Batch reports the batched-signing aggregator (nil when batching is
 	// off); Store the checkpoint WAL's write path (nil when counters are
@@ -793,7 +795,7 @@ type StatsResponse struct {
 	Store     *store.Stats       `json:"store,omitempty"`
 	Tenants   []tenant.TierStats `json:"tenants,omitempty"`
 	Pool      pool.Stats         `json:"pool"`
-	Sampled   int                `json:"telemetry_workers_sampled"`
+	Sampled   int                `json:"telemetry_workers_sampled" prom:"komodo_telemetry_workers_sampled" help:"Idle workers whose telemetry this scrape merged."`
 	Telemetry telemetry.Snapshot `json:"telemetry"`
 }
 
@@ -826,6 +828,16 @@ func (s *Server) Stats() StatsResponse {
 	rec, rep, div := replay.GlobalStats()
 	out.Telemetry.Replay = telemetry.ReplayStats{Recorded: rec, Replayed: rep, Diverged: div}
 	return out
+}
+
+// Merge folds another server's stats into st, for a fleet view: each
+// field by its merge tag, then the batch mean recomputed from the merged
+// sums (a mean is never summed).
+func (st *StatsResponse) Merge(o StatsResponse) {
+	obs.Merge(st, o)
+	if b := st.Batch; b != nil && b.Batches > 0 {
+		b.MeanSize = float64(b.SizeSum) / float64(b.Batches)
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -75,13 +75,13 @@ type RecoveryInfo struct {
 // group-size figures are all 1; with group commit Fsyncs counts the
 // shared syncs the appends were amortised over.
 type Stats struct {
-	Appends      uint64 `json:"appends"`
-	Fsyncs       uint64 `json:"fsyncs"`
-	Groups       uint64 `json:"group_commits"`
+	Appends      uint64 `json:"appends" prom:"komodo_store_appends_total" help:"WAL records appended (checkpoint saves)."`
+	Fsyncs       uint64 `json:"fsyncs" prom:"komodo_store_fsyncs_total" help:"WAL fsyncs issued; with group commit, one per commit group."`
+	Groups       uint64 `json:"group_commits" prom:"komodo_store_group_commits_total" help:"Commit groups flushed (equals appends without group commit)."`
 	GroupSizeSum uint64 `json:"group_size_sum"`
-	GroupSizeMax int    `json:"group_size_max"`
-	GroupLast    int    `json:"group_size_last"`
-	SyncFailures uint64 `json:"sync_failures"`
+	GroupSizeMax int    `json:"group_size_max" merge:"max"`
+	GroupLast    int    `json:"group_size_last" merge:"last"`
+	SyncFailures uint64 `json:"sync_failures" prom:"komodo_store_sync_failures_total" help:"WAL fsync failures (each failed every member of its group)."`
 }
 
 // MeanGroup is the mean commit-group size (0 before the first group).
@@ -90,19 +90,6 @@ func (st Stats) MeanGroup() float64 {
 		return 0
 	}
 	return float64(st.GroupSizeSum) / float64(st.Groups)
-}
-
-// Merge folds another snapshot into st (fleet-wide aggregation).
-func (st *Stats) Merge(o Stats) {
-	st.Appends += o.Appends
-	st.Fsyncs += o.Fsyncs
-	st.Groups += o.Groups
-	st.GroupSizeSum += o.GroupSizeSum
-	if o.GroupSizeMax > st.GroupSizeMax {
-		st.GroupSizeMax = o.GroupSizeMax
-	}
-	st.GroupLast = o.GroupLast
-	st.SyncFailures += o.SyncFailures
 }
 
 // Store is a WAL + snapshot directory. Appends, Compact and the read

@@ -14,11 +14,11 @@ func SVCName(call uint32) string { return kapi.SVCName(call) }
 
 // CallStats is the exported view of one call series.
 type CallStats struct {
-	Call   uint32 `json:"call"`
-	Name   string `json:"name"`
-	Count  uint64 `json:"count"`
+	Call   uint32 `json:"call" merge:"key"`
+	Name   string `json:"name" prom:"call"`
+	Count  uint64 `json:"count" prom:"komodo_smc_calls_total" help:"Monitor SMC invocations by call, summed over sampled idle workers."`
 	Errors uint64 `json:"errors"`
-	Cycles uint64 `json:"cycles"`
+	Cycles uint64 `json:"cycles" prom:"komodo_smc_cycles_total" help:"Simulated cycles spent in the monitor by SMC call, summed over sampled idle workers."`
 	// DispatchCycles is the share of Cycles spent on SMC entry/exit
 	// boilerplate (world switch, register save/restore); BodyCycles is
 	// the handler's own work. DispatchCycles+BodyCycles == Cycles.
@@ -51,22 +51,22 @@ type TLBStats struct {
 type MemStats struct {
 	// DirtyPages is a gauge: pages written since the last snapshot or
 	// restore (what the next delta restore would copy back).
-	DirtyPages int `json:"dirty_pages"`
+	DirtyPages int `json:"dirty_pages" prom:"komodo_mem_dirty_pages" help:"Pages written since the last snapshot/restore (what the next delta restore will copy), summed over sampled idle workers."`
 	// TotalPages sizes the gauge: what a full restore copies.
 	TotalPages    int    `json:"total_pages"`
 	Snapshots     uint64 `json:"snapshots"`
-	DeltaRestores uint64 `json:"delta_restores"`
-	FullRestores  uint64 `json:"full_restores"`
-	WordsCopied   uint64 `json:"words_copied"`
+	DeltaRestores uint64 `json:"delta_restores" prom:"komodo_mem_restores_total,kind=delta" help:"Memory restores by path, summed over sampled idle workers."`
+	FullRestores  uint64 `json:"full_restores" prom:"komodo_mem_restores_total,kind=full"`
+	WordsCopied   uint64 `json:"words_copied" prom:"komodo_mem_restore_words_total" help:"Words copied by memory restores, summed over sampled idle workers."`
 	PagesCopied   uint64 `json:"pages_copied"`
 }
 
 // DecodeCacheStats is the interpreter's predecoded-instruction cache
 // view (internal/arm), filled in by the platform.
 type DecodeCacheStats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Revalidated uint64 `json:"revalidated"`
+	Hits        uint64 `json:"hits" prom:"komodo_decode_cache_total,event=hit" help:"Predecoded-instruction cache lookups by outcome, summed over sampled idle workers."`
+	Misses      uint64 `json:"misses" prom:"komodo_decode_cache_total,event=miss"`
+	Revalidated uint64 `json:"revalidated" prom:"komodo_decode_cache_total,event=revalidated"`
 	Fills       uint64 `json:"fills"`
 	Resets      uint64 `json:"resets"`
 	Enabled     bool   `json:"enabled"`
@@ -76,14 +76,14 @@ type DecodeCacheStats struct {
 // (internal/arm), filled in by the platform. Blocks/BlockInsns give the
 // mean dispatched block length.
 type BlockCacheStats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Revalidated uint64 `json:"revalidated"`
-	Invalidated uint64 `json:"invalidated"`
+	Hits        uint64 `json:"hits" prom:"komodo_block_cache_total,event=hit" help:"Superblock translation-cache dispatches by outcome, summed over sampled idle workers."`
+	Misses      uint64 `json:"misses" prom:"komodo_block_cache_total,event=miss"`
+	Revalidated uint64 `json:"revalidated" prom:"komodo_block_cache_total,event=revalidated"`
+	Invalidated uint64 `json:"invalidated" prom:"komodo_block_cache_total,event=invalidated"`
 	Fills       uint64 `json:"fills"`
 	Resets      uint64 `json:"resets"`
-	Blocks      uint64 `json:"blocks"`
-	BlockInsns  uint64 `json:"block_insns"`
+	Blocks      uint64 `json:"blocks" prom:"komodo_block_cache_insns_total,kind=blocks" help:"Instructions retired through cached superblocks (blocks gives the count of block executions; the ratio is the mean block length)."`
+	BlockInsns  uint64 `json:"block_insns" prom:"komodo_block_cache_insns_total,kind=insns"`
 	Enabled     bool   `json:"enabled"`
 }
 
@@ -106,27 +106,30 @@ type TraceStats struct {
 // ReplayStats counts deterministic record/replay activity (internal/replay),
 // filled in by the serving layer from the replay package's global counters.
 type ReplayStats struct {
-	Recorded uint64 `json:"recorded"`
-	Replayed uint64 `json:"replayed"`
-	Diverged uint64 `json:"diverged"`
+	Recorded uint64 `json:"recorded" prom:"komodo_replay_traces_total,event=recorded" help:"Record/replay activity: traces recorded, replayed, and found divergent."`
+	Replayed uint64 `json:"replayed" prom:"komodo_replay_traces_total,event=replayed"`
+	Diverged uint64 `json:"diverged" prom:"komodo_replay_traces_total,event=diverged"`
 }
 
 // Snapshot is a point-in-time JSON view of everything the stack has
 // observed. The recorder fills its own series (SMC, SVC, lifecycle, page
 // flow, trace); the platform layers in machine-owned gauges (cycles,
-// retired instructions, instruction classes, TLB, page census).
+// retired instructions, instruction classes, TLB, page census). The
+// prom and merge tags declare its /metrics families and how Merge
+// combines platforms (internal/obs).
 type Snapshot struct {
 	Cycles  uint64 `json:"cycles"`
 	Retired uint64 `json:"retired"`
 
 	SMC []CallStats `json:"smc"`
-	SVC []CallStats `json:"svc"`
+	SVC []CallStats `json:"svc" prom:"-"`
 
 	// EnterSetupCycles / ResumeSetupCycles are the latest Table 3 "Enter
 	// only" / "Resume only" measurements: SMC entry to first enclave
 	// instruction.
-	EnterSetupCycles  uint64 `json:"enter_setup_cycles"`
-	ResumeSetupCycles uint64 `json:"resume_setup_cycles"`
+	// A merge across platforms keeps the largest.
+	EnterSetupCycles  uint64 `json:"enter_setup_cycles" merge:"max"`
+	ResumeSetupCycles uint64 `json:"resume_setup_cycles" merge:"max"`
 
 	Lifecycle map[string]uint64 `json:"lifecycle"`
 	PageMoves map[string]uint64 `json:"page_moves"`

@@ -44,23 +44,14 @@ type TierSpec struct {
 }
 
 // TierStats is the per-tier accounting exported through /v1/stats and
-// merged fleet-wide by the gateway.
+// /metrics, and merged fleet-wide by the gateway keyed by tier.
 type TierStats struct {
-	Tier          string `json:"tier"`
+	Tier          string `json:"tier" prom:"tier" merge:"key"`
 	Tenants       int    `json:"tenants"`
-	Admitted      uint64 `json:"admitted"`
-	RejectedRate  uint64 `json:"rejected_rate_limit"`
-	RejectedQuota uint64 `json:"rejected_quota"`
-	RejectedShed  uint64 `json:"rejected_shed"`
-}
-
-// Merge folds another backend's stats for the same tier into s.
-func (s *TierStats) Merge(o TierStats) {
-	s.Tenants += o.Tenants
-	s.Admitted += o.Admitted
-	s.RejectedRate += o.RejectedRate
-	s.RejectedQuota += o.RejectedQuota
-	s.RejectedShed += o.RejectedShed
+	Admitted      uint64 `json:"admitted" prom:"komodo_tenant_requests_total,result=admitted" help:"Admission decisions by tier and result."`
+	RejectedRate  uint64 `json:"rejected_rate_limit" prom:"komodo_tenant_requests_total,result=rate_limit"`
+	RejectedQuota uint64 `json:"rejected_quota" prom:"komodo_tenant_requests_total,result=quota"`
+	RejectedShed  uint64 `json:"rejected_shed" prom:"komodo_tenant_requests_total,result=shed"`
 }
 
 // Decision is the outcome of one admission check.
@@ -288,25 +279,6 @@ func (r *Registry) Tiers() []TierSpec {
 		out = append(out, r.tiers[name].spec)
 	}
 	return out
-}
-
-// MergeStats folds per-backend tier stats into a fleet-wide view, keyed
-// by tier name, preserving first-seen order.
-func MergeStats(dst []TierStats, src []TierStats) []TierStats {
-	for _, s := range src {
-		found := false
-		for i := range dst {
-			if dst[i].Tier == s.Tier {
-				dst[i].Merge(s)
-				found = true
-				break
-			}
-		}
-		if !found {
-			dst = append(dst, s)
-		}
-	}
-	return dst
 }
 
 // ParseTiers parses the -tiers flag syntax:

@@ -3,6 +3,8 @@ package tenant
 import (
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func testRegistry(t *testing.T, opts ...Option) *Registry {
@@ -129,10 +131,14 @@ func TestStatsOrderAndCounts(t *testing.T) {
 	}
 }
 
+// TestMergeStats pins the fleet merge of tier ledgers that TierStats'
+// merge tags declare: keyed by tier, summed, in first-seen order.
 func TestMergeStats(t *testing.T) {
 	a := []TierStats{{Tier: "free", Admitted: 3}, {Tier: "gold", Admitted: 1}}
 	b := []TierStats{{Tier: "gold", Admitted: 2, RejectedShed: 1}, {Tier: "new", Admitted: 5}}
-	m := MergeStats(a, b)
+	var m []TierStats
+	obs.Merge(&m, a)
+	obs.Merge(&m, b)
 	if len(m) != 3 || m[1].Admitted != 3 || m[1].RejectedShed != 1 || m[2].Tier != "new" {
 		t.Fatalf("merge: %+v", m)
 	}
