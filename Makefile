@@ -34,7 +34,7 @@ bench-json:
 	$(GO) run ./cmd/komodo-bench -json
 
 # CI guard: every benchmark compiles and runs once, and the hot-path perf
-# section (block/decode caches + delta restore) completes end-to-end. Not a
+# section (block cache + delta restore) completes end-to-end. Not a
 # measurement — shared runners are too noisy — just an execution check.
 # The block A/B benchmark and the block differential harness also run under
 # the race detector: the superblock cache must stay bit-identical there too.

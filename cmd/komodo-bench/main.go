@@ -153,12 +153,10 @@ func main() {
 	if out.Perf != nil {
 		p := out.Perf
 		fmt.Println("Hot-path performance (host wall-clock; see docs/PERFORMANCE.md)")
-		fmt.Printf("  interpreter: %.2fM instr/s block-cached, %.2fM decode-only, %.2fM uncached\n",
-			p.InstrPerSec/1e6, p.InstrPerSecDecodeOnly/1e6, p.InstrPerSecUncached/1e6)
-		fmt.Printf("  block cache: %.2fx over decode-only (hit rate %.1f%%, mean block %.1f insns)\n",
+		fmt.Printf("  interpreter: %.2fM instr/s block-cached, %.2fM uncached\n",
+			p.InstrPerSec/1e6, p.InstrPerSecUncached/1e6)
+		fmt.Printf("  block cache: %.2fx over uncached (hit rate %.1f%%, mean block %.1f insns)\n",
 			p.BlockCacheSpeedup, p.BlockCacheHitRate*100, p.MeanBlockLen)
-		fmt.Printf("  decode cache: %.2fx over uncached (hit rate %.1f%%)\n",
-			p.DecodeCacheSpeedup, p.DecodeCacheHitRate*100)
 		fmt.Printf("  restore:     %d words/request delta vs %d full copy (%.0fx fewer)\n",
 			p.RestoreWordsPerRequest, p.RestoreWordsFullCopy, p.RestoreReduction)
 		fmt.Printf("  serve:       p50 %.0f µs, p95 %.0f µs over %d notary requests (%d-word docs)\n",

@@ -52,7 +52,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget")
 	healthcheck := flag.Bool("healthcheck", false, "run a full attest probe after every restore")
 	stateDir := flag.String("state-dir", "", "durable notary state directory (empty: counters are volatile)")
-	ckptEvery := flag.Int("checkpoint-every", 1, "checkpoint the notary after every Nth sign (with -state-dir)")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof (empty: disabled)")
 	flightSize := flag.Int("flight-traces", 0, "slow-request traces retained for /v1/debug/traces (0 = default)")
 	batchSize := flag.Int("batch", 0, "batched notary signing: close a batch at this many signs (0 = unbatched)")
@@ -163,7 +162,6 @@ func main() {
 		QueueDepth:         *queue,
 		RequestTimeout:     *timeout,
 		Checkpoints:        ckpts,
-		CheckpointEvery:    *ckptEvery,
 		FlightRecorderSize: *flightSize,
 		Admission:          admission,
 		BatchMaxSize:       *batchSize,

@@ -9,15 +9,15 @@ import (
 
 // The superblock translation cache: a per-Machine, direct-mapped map from a
 // block-head PC to the decoded straight-line run starting there, executed by
-// a fused loop. Where the predecode cache (decodecache.go) amortises the
-// decode of one instruction, the block cache amortises the *dispatch*: one
-// tag + fetch-context + TLB-epoch + page-version check covers every
-// instruction in the block, and the per-instruction retirement bookkeeping
-// (cycle charge, retired count, class counters, elided-TLB-hit recording) is
-// batched at block exit.
+// a fused loop. It amortises both the fetch+decode and the *dispatch* of
+// Run's per-instruction path: one tag + fetch-context + TLB-epoch +
+// page-version check covers every instruction in the block, and the
+// per-instruction retirement bookkeeping (cycle charge, retired count, class
+// counters, elided-TLB-hit recording) is batched at block exit.
 //
-// Semantic invisibility is the same contract the predecode cache carries,
-// extended from one instruction to a run of them. The argument:
+// Semantic invisibility is the contract: the interpreter with the cache must
+// be bit-identical to the interpreter without it, including cycle charges.
+// The argument:
 //
 //   - Blocks are straight-line: they end at (and include) any instruction
 //     that can redirect control or change the execution regime — branches,
@@ -26,8 +26,9 @@ import (
 //     that terminator the slow path would fetch consecutive words from the
 //     same page.
 //   - Blocks never cross a page boundary, so one page-version check at
-//     block entry covers every word the block predecoded, using exactly the
-//     per-page write versioning that invalidates the predecode cache.
+//     block entry covers every word the block predecoded. mem.Physical
+//     bumps a page's version on every write (CPU, DMA, physical tamper,
+//     restore-copy), so a matching version means the words are unmodified.
 //   - A TLB-epoch match at block entry means the fill-time translation of
 //     the block's page is still the one the TLB serves, so every fetch the
 //     block elides would have been a TLB hit charging no walk cycles; the
@@ -46,8 +47,8 @@ import (
 //     stale — instruction and invalidates itself, so self-modifying code
 //     executes its patched words just like the uncached interpreter.
 //
-// Machine.Restore drops the whole cache, mirroring the predecode cache's
-// strict invalidation on snapshot restore.
+// Machine.Restore drops the whole cache (strict invalidation on snapshot
+// restore), and the TLB epoch resets with the fresh TLB it installs.
 const (
 	bcacheBits  = 11
 	bcacheSize  = 1 << bcacheBits // 2048 entries, direct-mapped on head-PC word index
@@ -145,6 +146,17 @@ func blockEnds(i Instr) bool {
 		return true
 	}
 	return badReg(i)
+}
+
+// fetchCtx encodes the current translation regime into a comparable word.
+// Secure user mode translates through TTBR0 (page-aligned, so bit 0 is
+// free to mark "translated"); every other mode/world fetches physical
+// addresses directly and is keyed by the world alone (bit 0 clear).
+func (m *Machine) fetchCtx() uint32 {
+	if m.cpsr.Mode == ModeUsr && m.World() == mem.Secure {
+		return m.ttbr0[mem.Secure] | 1
+	}
+	return uint32(m.World()) << 1
 }
 
 // blockDispatch looks up (or builds) the superblock at PC and executes it.

@@ -10,6 +10,44 @@ import (
 	"repro/internal/rng"
 )
 
+// assertSameRun checks the two machines are architecturally
+// indistinguishable after running the same program — the block cache's
+// semantic-invisibility contract, including the cycle model.
+func assertSameRun(t *testing.T, on, off *Machine) {
+	t.Helper()
+	for _, r := range []Reg{R0, R1, R2, R3, R4, R5, R6, R7, R8, R9} {
+		if a, b := on.Reg(r), off.Reg(r); a != b {
+			t.Errorf("%v: cached %#x, uncached %#x", r, a, b)
+		}
+	}
+	if a, b := on.PC(), off.PC(); a != b {
+		t.Errorf("PC: cached %#x, uncached %#x", a, b)
+	}
+	if a, b := on.CPSR(), off.CPSR(); a != b {
+		t.Errorf("CPSR: cached %+v, uncached %+v", a, b)
+	}
+	if a, b := on.Retired(), off.Retired(); a != b {
+		t.Errorf("retired: cached %d, uncached %d", a, b)
+	}
+	if a, b := on.Cyc.Total(), off.Cyc.Total(); a != b {
+		t.Errorf("cycles: cached %d, uncached %d", a, b)
+	}
+}
+
+func runToSVC(t *testing.T, m *Machine) {
+	t.Helper()
+	m.SetCPSR(PSR{Mode: ModeUsr, I: false})
+	m.SetPC(0)
+	if tr := m.Run(100); tr.Kind != TrapSVC {
+		t.Fatalf("trap = %v (%v at %#x), want SVC", tr.Kind, tr.FaultErr, tr.FaultAddr)
+	}
+}
+
+func tlbCounters(m *Machine) (hits, misses uint64) {
+	c := m.TLB.Counters()
+	return c.Hits, c.Misses
+}
+
 // TestBlockCacheWarmLoopStats: a hot loop must be served from the block
 // cache after the first pass (hits accumulate, mean block length > 1) with
 // results identical to the per-instruction path.

@@ -108,7 +108,6 @@ func FuzzBlockCache(f *testing.F) {
 			}
 			if !cached {
 				m.EnableBlockCache(false)
-				m.EnableDecodeCache(false)
 			}
 			return m, codeBase, world
 		}

@@ -82,8 +82,8 @@ func (m *Machine) ExportState() MachineState {
 
 // ImportState imposes an exported state on the machine. Like Snapshot
 // restore, the TLB comes back empty (always a legal TLB state) with only
-// the consistency flag preserved, and the predecode/block caches drop
-// everything from the abandoned timeline.
+// the consistency flag preserved, and the block cache drops everything
+// from the abandoned timeline.
 func (m *Machine) ImportState(s MachineState) error {
 	for _, p := range s.SPSR {
 		if p.Mode >= numModes {
@@ -120,7 +120,6 @@ func (m *Machine) ImportState(s MachineState) error {
 	if !s.TLBConsistent {
 		m.TLB.MarkInconsistent()
 	}
-	m.dc.reset()
 	m.bc.reset()
 	return nil
 }

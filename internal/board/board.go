@@ -35,13 +35,10 @@ type Config struct {
 	// every SMC from the first call onward is counted. nil boots an
 	// uninstrumented platform (the default; zero overhead).
 	Telemetry *telemetry.Recorder
-	// DisableDecodeCache boots the machine with the predecoded-
-	// instruction cache off (A/B benchmarking, differential tests).
-	// Semantics are identical either way; only simulator speed changes.
-	DisableDecodeCache bool
 	// DisableBlockCache boots the machine with the superblock translation
-	// cache off, leaving the per-instruction path (decode cache included,
-	// unless also disabled). Same invisibility contract as above.
+	// cache off, leaving the per-instruction fetch+decode path (A/B
+	// benchmarking, differential tests). Semantics are identical either
+	// way; only simulator speed changes.
 	DisableBlockCache bool
 }
 
@@ -64,9 +61,6 @@ func Boot(cfg Config) (*Platform, error) {
 		return nil, err
 	}
 	m := arm.NewMachine(phys, rng.New(cfg.Seed))
-	if cfg.DisableDecodeCache {
-		m.EnableDecodeCache(false)
-	}
 	if cfg.DisableBlockCache {
 		m.EnableBlockCache(false)
 	}
@@ -113,11 +107,6 @@ func (p *Platform) StatsSnapshot() telemetry.Snapshot {
 		FullRestores:  rs.FullRestores,
 		WordsCopied:   rs.WordsCopied,
 		PagesCopied:   rs.PagesCopied,
-	}
-	dc := m.DecodeCacheStats()
-	s.DecodeCache = telemetry.DecodeCacheStats{
-		Hits: dc.Hits, Misses: dc.Misses, Revalidated: dc.Revalidated,
-		Fills: dc.Fills, Resets: dc.Resets, Enabled: dc.Enabled,
 	}
 	bc := m.BlockCacheStats()
 	s.BlockCache = telemetry.BlockCacheStats{

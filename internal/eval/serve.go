@@ -33,7 +33,7 @@ type BatchRow struct {
 }
 
 // WritePathRow is one cell of the adaptive write-path sweep: the same
-// closed-loop notary load with durable counters (CheckpointEvery 1)
+// closed-loop notary load with durable counters (a checkpoint per sign)
 // against one write-path configuration. The headline columns are
 // CrossingsPerOK (enclave crossings per signed request, amortised by
 // batching and further by dedup under skew) and FsyncsPerOK (WAL fsyncs
@@ -106,7 +106,7 @@ func (c serveRow) run() (r load.Result, st server.StatsResponse, err error) {
 		}
 		defer func() { err = errors.Join(err, cs.Close()) }()
 		pcfg.Provision = server.RestoreProvision(cs)
-		scfg.Checkpoints, scfg.CheckpointEvery = cs, 1
+		scfg.Checkpoints = cs
 	}
 	stack, err := load.Start(pcfg, scfg)
 	if err != nil {

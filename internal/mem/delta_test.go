@@ -271,7 +271,7 @@ func TestRestoreReconcilesTamperPoison(t *testing.T) {
 }
 
 // TestPageVersionMonotonic: versions only move forward, through writes,
-// tampering and restore-copies alike — the invariant the predecode cache
+// tampering and restore-copies alike — the invariant the superblock cache
 // relies on (equal version ⟹ identical contents).
 func TestPageVersionMonotonic(t *testing.T) {
 	p := newTestMem(t, ProtFilter)

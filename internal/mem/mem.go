@@ -145,8 +145,8 @@ type Physical struct {
 	// verIns/verSec are per-page version counters, bumped on every write
 	// (and on every page a restore copies). A page's version changing is
 	// the only way its contents can change, so version equality is a
-	// sound content-unchanged check — the predecoded-instruction cache in
-	// internal/arm validates entries against it.
+	// sound content-unchanged check — the superblock cache in
+	// internal/arm validates blocks against it.
 	verIns []uint64
 	verSec []uint64
 

@@ -440,7 +440,7 @@ func tracedBoot() (*komodo.System, any, error) {
 
 // TestConcurrentCheckoutsTraced is the traced-load variant of
 // TestConcurrentCheckouts: workers run with event sinks attached and the
-// decode cache + dirty-page tracking on (the defaults), while a sampler
+// block cache + dirty-page tracking on (the defaults), while a sampler
 // goroutine scrapes Telemetry/Stats concurrently, the way /metrics and
 // /v1/stats do. Run with -race this covers the whole hot path. It also
 // pins the delta-restore win: restores must move ≥10× fewer words than

@@ -94,9 +94,9 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 }
 
 // TestLockstepDifferentialSeeds is the standing determinism check on the
-// simulator's acceleration layers: a run recorded on an uncached
-// interpreter must replay bit-identically with the superblock and decode
-// caches in any on/off combination, across the committed blockdiff seeds.
+// simulator's acceleration layer: a run recorded on an uncached
+// interpreter must replay bit-identically with the superblock cache on or
+// off, across the committed blockdiff seeds.
 func TestLockstepDifferentialSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lockstep differential is slow")
@@ -110,7 +110,6 @@ func TestLockstepDifferentialSeeds(t *testing.T) {
 		}{
 			{"as-recorded", func(*komodo.BootConfig) {}},
 			{"block-cache-on", func(bc *komodo.BootConfig) { bc.NoBlockCache = false }},
-			{"all-caches-off", func(bc *komodo.BootConfig) { bc.NoBlockCache = true; bc.NoDecodeCache = true }},
 		} {
 			res, err := replay.Replay(trace, mode.mod)
 			if err != nil {

@@ -377,7 +377,7 @@ func encHeader(e *enc, h Header, nops int) {
 	set(0, b.Static)
 	set(1, b.Checked)
 	set(2, b.Optimised)
-	set(3, b.NoDecodeCache)
+	// Bit 3 switched off the deleted predecode cache; it is never set.
 	set(4, b.NoBlockCache)
 	e.u8(flags)
 	e.u64(uint64(b.Budget))
@@ -395,7 +395,9 @@ func decHeader(d *dec) (Header, int) {
 	h.Boot.Static = flags&1 != 0
 	h.Boot.Checked = flags&2 != 0
 	h.Boot.Optimised = flags&4 != 0
-	h.Boot.NoDecodeCache = flags&8 != 0
+	// Bit 3 (the deleted predecode cache's switch) is accepted and
+	// ignored: that cache was semantically invisible, so older traces
+	// replay unchanged.
 	h.Boot.NoBlockCache = flags&16 != 0
 	h.Boot.Budget = int64(d.u64())
 	h.Boot.SecureSize = d.u32()

@@ -2,7 +2,9 @@ package replay_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -75,8 +77,25 @@ func TestTraceTamperFailsClosed(t *testing.T) {
 	}
 }
 
+// headerFlags is the offset of the boot-flags byte in an encoded trace:
+// the 8-byte preamble, the header frame's length and CRC words, then the
+// frame type, the u64 seed and the u8 protection.
+const headerFlags = 8 + 8 + 1 + 8 + 1
+
+// withHeaderFlags returns a copy of an encoded trace with bits set in its
+// header's boot flags and the header frame's CRC recomputed.
+func withHeaderFlags(raw []byte, bits byte) []byte {
+	out := append([]byte{}, raw...)
+	out[headerFlags] |= bits
+	n := binary.LittleEndian.Uint32(out[8:])
+	binary.LittleEndian.PutUint32(out[12:], crc32.ChecksumIEEE(out[16:16+n]))
+	return out
+}
+
 // FuzzReplay feeds arbitrary bytes to the trace decoder: it must never
-// panic, and anything it does accept must round-trip stably.
+// panic, and anything it does accept must round-trip stably. Flag bit 3
+// (the deleted predecode cache's switch) is accepted on input and never
+// written back.
 func FuzzReplay(f *testing.F) {
 	raw := encodedTrace(f)
 	f.Add(raw)
@@ -86,6 +105,7 @@ func FuzzReplay(f *testing.F) {
 	short := append([]byte{}, raw...)
 	short[len(short)/3] ^= 0xff
 	f.Add(short)
+	f.Add(withHeaderFlags(raw, 8))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := replay.ReadTrace(bytes.NewReader(data))
 		if err != nil {
@@ -95,6 +115,9 @@ func FuzzReplay(f *testing.F) {
 		var buf bytes.Buffer
 		if err := replay.WriteTrace(&buf, tr); err != nil {
 			t.Fatalf("accepted trace failed to re-encode: %v", err)
+		}
+		if buf.Bytes()[headerFlags]&8 != 0 {
+			t.Fatal("re-encoded trace sets header flag bit 3")
 		}
 		if _, err := replay.ReadTrace(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("re-encoded trace failed to decode: %v", err)

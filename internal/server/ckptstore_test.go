@@ -113,21 +113,34 @@ func TestDurableCounterAcrossRestart(t *testing.T) {
 }
 
 // TestDurableCounterSurvivesPoolRestore: in durable mode every sign is
-// committed and rebased, so even a stateless (restore-on-release)
-// request between signs cannot rewind the counter.
+// committed and rebased, so no run of stateless (restore-on-release)
+// requests between signs can rewind the counter. Each attestation
+// restores the one worker to golden (a new pool epoch); the counter must
+// still rise by exactly one per sign across all of them.
 func TestDurableCounterSurvivesPoolRestore(t *testing.T) {
 	d := startDurable(t, t.TempDir(), 42)
 	defer d.stop(t)
 
-	n1 := signDoc(t, d.ts.URL, "before")
-	// Attestations release with OK → restore to golden. The rebase at
-	// commit time moved golden forward, so the counter must not reset.
-	if code := getJSON(t, d.ts.URL+"/v1/attest?nonce=between", nil); code != 200 {
-		t.Fatalf("attest: %d", code)
-	}
-	n2 := signDoc(t, d.ts.URL, "after")
-	if n2.Counter != n1.Counter+1 {
-		t.Fatalf("counter rewound across restore: %d then %d", n1.Counter, n2.Counter)
+	last := signDoc(t, d.ts.URL, "sign-0").Counter
+	for i := 1; i <= 6; i++ {
+		// Attestations release with OK → restore to golden. The rebase
+		// at commit time moved golden forward, so the counter must not
+		// reset, however many restores run between two signs.
+		attests := i%3 + 1
+		before := d.p.Stats().Restores
+		for j := 0; j < attests; j++ {
+			if code := getJSON(t, d.ts.URL+fmt.Sprintf("/v1/attest?nonce=a%d-%d", i, j), nil); code != 200 {
+				t.Fatalf("attest: %d", code)
+			}
+		}
+		if got := d.p.Stats().Restores - before; got != uint64(attests) {
+			t.Fatalf("sign %d: %d restores after %d attests", i, got, attests)
+		}
+		n := signDoc(t, d.ts.URL, fmt.Sprintf("sign-%d", i)).Counter
+		if n != last+1 {
+			t.Fatalf("sign %d: counter %d after %d across %d restores: rewound or skipped", i, n, last, attests)
+		}
+		last = n
 	}
 }
 

@@ -272,7 +272,6 @@ func TestMetricsExposition(t *testing.T) {
 		"komodo_mem_dirty_pages",
 		"komodo_mem_restores_total",
 		"komodo_mem_restore_words_total",
-		"komodo_decode_cache_total",
 		"komodo_block_cache_total",
 		"komodo_block_cache_insns_total",
 		"komodo_request_duration_seconds",

@@ -423,13 +423,13 @@ func (s *Store) Compact() error {
 	if err := s.wal.Truncate(0); err != nil {
 		return err
 	}
-	if err := s.sync(s.wal); err != nil {
-		return err
-	}
+	// The file is empty now, whether or not the fsync below succeeds: the
+	// next append must start at offset 0, not behind a hole of zeros that
+	// recovery would stop at.
 	s.off = 0
 	s.recs = nil
 	s.rec = RecoveryInfo{}
-	return nil
+	return s.sync(s.wal)
 }
 
 // WriteSnapshot atomically replaces the named snapshot file:

@@ -255,6 +255,44 @@ func TestCompact(t *testing.T) {
 	}
 }
 
+// TestCompactFsyncFailureKeepsLaterAppends: Compact's truncate succeeds
+// and its fsync fails. The error reaches the caller, but the store must
+// still know the log is empty, so an append acknowledged afterwards lands
+// at offset 0 and survives recovery.
+func TestCompactFsyncFailureKeepsLaterAppends(t *testing.T) {
+	dir := t.TempDir()
+	fail := false
+	s := openT(t, dir, WithSync(func(f *os.File) error {
+		if fail {
+			return errors.New("injected fsync failure")
+		}
+		return f.Sync()
+	}))
+	for i := 0; i < 3; i++ {
+		if _, err := s.Append(1, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fail = true
+	if err := s.Compact(); err == nil {
+		t.Fatal("compact with failing fsync succeeded")
+	}
+	fail = false
+	seq, err := s.Append(1, []byte("acked"))
+	if err != nil || seq != 4 {
+		t.Fatalf("append after failed compact: seq=%d err=%v", seq, err)
+	}
+	s.Close()
+	r := openT(t, dir)
+	recs := r.Records()
+	if len(recs) != 1 || recs[0].Seq != 4 || string(recs[0].Payload) != "acked" {
+		t.Fatalf("recovered %+v (recovery %+v), want the acknowledged seq 4", recs, r.Recovery())
+	}
+	if r.Recovery().TruncatedBytes != 0 {
+		t.Fatalf("recovery truncated %d bytes", r.Recovery().TruncatedBytes)
+	}
+}
+
 func TestOversizePayloadRejected(t *testing.T) {
 	s := openT(t, t.TempDir())
 	if _, err := s.Append(1, make([]byte, MaxPayloadBytes+1)); !errors.Is(err, ErrTooLarge) {

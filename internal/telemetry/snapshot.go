@@ -61,15 +61,14 @@ type MemStats struct {
 	PagesCopied   uint64 `json:"pages_copied"`
 }
 
-// DecodeCacheStats is the interpreter's predecoded-instruction cache
-// view (internal/arm), filled in by the platform.
+// DecodeCacheStats is always zero: the interpreter has no predecode cache
+// any more, and nothing writes these fields. The type stays only because
+// the servebench harness reads Snapshot.DecodeCache in-process (through
+// server.Stats) for its arm.decode_hit_rate entry, which therefore
+// reports 0. Delete it with that entry, in the next change to the
+// benchmark.
 type DecodeCacheStats struct {
-	Hits        uint64 `json:"hits" prom:"komodo_decode_cache_total,event=hit" help:"Predecoded-instruction cache lookups by outcome, summed over sampled idle workers."`
-	Misses      uint64 `json:"misses" prom:"komodo_decode_cache_total,event=miss"`
-	Revalidated uint64 `json:"revalidated" prom:"komodo_decode_cache_total,event=revalidated"`
-	Fills       uint64 `json:"fills"`
-	Resets      uint64 `json:"resets"`
-	Enabled     bool   `json:"enabled"`
+	Hits, Misses uint64
 }
 
 // BlockCacheStats is the interpreter's superblock translation cache view
@@ -139,7 +138,7 @@ type Snapshot struct {
 	InsnClasses map[string]uint64 `json:"insn_classes"`
 	TLB         TLBStats          `json:"tlb"`
 	Mem         MemStats          `json:"mem"`
-	DecodeCache DecodeCacheStats  `json:"decode_cache"`
+	DecodeCache DecodeCacheStats  `json:"-"` // always zero; see DecodeCacheStats
 	BlockCache  BlockCacheStats   `json:"block_cache"`
 	// PageCensus counts secure pages by current PageDB type (filled by
 	// the platform from the decoded PageDB).

@@ -51,17 +51,16 @@ const (
 type Option func(*config)
 
 type config struct {
-	seed          uint64
-	protection    Protection
-	static        bool
-	checked       bool
-	budget        int64
-	secureSize    uint32
-	optimised     bool
-	telemetry     bool
-	sink          telemetry.Sink
-	noDecodeCache bool
-	noBlockCache  bool
+	seed         uint64
+	protection   Protection
+	static       bool
+	checked      bool
+	budget       int64
+	secureSize   uint32
+	optimised    bool
+	telemetry    bool
+	sink         telemetry.Sink
+	noBlockCache bool
 }
 
 // WithSeed sets the hardware RNG seed (default 1). Equal seeds give
@@ -103,19 +102,12 @@ func WithOptimisedCrossings() Option { return func(c *config) { c.optimised = tr
 // observation paths cost nothing.
 func WithTelemetry() Option { return func(c *config) { c.telemetry = true } }
 
-// WithoutDecodeCache boots the machine with the predecoded-instruction
-// cache disabled. The cache is semantically invisible (bit-identical
-// execution, pinned by the internal/arm differential tests), so the only
-// reason to turn it off is A/B measurement of the simulator itself —
-// see docs/PERFORMANCE.md.
-func WithoutDecodeCache() Option { return func(c *config) { c.noDecodeCache = true } }
-
 // WithoutBlockCache boots the machine with the superblock translation
-// cache disabled, leaving the per-instruction interpreter path (and the
-// decode cache, unless WithoutDecodeCache is also given). Like the decode
-// cache, the block cache is semantically invisible — pinned by the
-// internal/arm block differential and fuzz harnesses — so this knob
-// exists only for A/B measurement. See docs/PERFORMANCE.md.
+// cache disabled, leaving the per-instruction fetch+decode interpreter
+// path. The block cache is semantically invisible (bit-identical
+// execution, pinned by the internal/arm block differential and fuzz
+// harnesses), so the only reason to turn it off is A/B measurement of
+// the simulator itself — see docs/PERFORMANCE.md.
 func WithoutBlockCache() Option { return func(c *config) { c.noBlockCache = true } }
 
 // WithTelemetrySink attaches a telemetry recorder that forwards every
@@ -138,29 +130,27 @@ type System struct {
 // trace header. Telemetry attachment is deliberately absent — recorders
 // are observation, not machine state.
 type BootConfig struct {
-	Seed          uint64
-	Protection    Protection
-	Static        bool
-	Checked       bool
-	Optimised     bool
-	Budget        int64
-	SecureSize    uint32
-	NoDecodeCache bool
-	NoBlockCache  bool
+	Seed         uint64
+	Protection   Protection
+	Static       bool
+	Checked      bool
+	Optimised    bool
+	Budget       int64
+	SecureSize   uint32
+	NoBlockCache bool
 }
 
 // BootConfig reports the configuration this system was booted with.
 func (s *System) BootConfig() BootConfig {
 	return BootConfig{
-		Seed:          s.cfg.seed,
-		Protection:    s.cfg.protection,
-		Static:        s.cfg.static,
-		Checked:       s.cfg.checked,
-		Optimised:     s.cfg.optimised,
-		Budget:        s.cfg.budget,
-		SecureSize:    s.cfg.secureSize,
-		NoDecodeCache: s.cfg.noDecodeCache,
-		NoBlockCache:  s.cfg.noBlockCache,
+		Seed:         s.cfg.seed,
+		Protection:   s.cfg.protection,
+		Static:       s.cfg.static,
+		Checked:      s.cfg.checked,
+		Optimised:    s.cfg.optimised,
+		Budget:       s.cfg.budget,
+		SecureSize:   s.cfg.secureSize,
+		NoBlockCache: s.cfg.noBlockCache,
 	}
 }
 
@@ -183,9 +173,6 @@ func (bc BootConfig) Options() []Option {
 	if bc.SecureSize != 0 {
 		opts = append(opts, WithSecureMemory(bc.SecureSize))
 	}
-	if bc.NoDecodeCache {
-		opts = append(opts, WithoutDecodeCache())
-	}
 	if bc.NoBlockCache {
 		opts = append(opts, WithoutBlockCache())
 	}
@@ -199,11 +186,10 @@ func New(opts ...Option) (*System, error) {
 		o(&c)
 	}
 	bc := board.Config{
-		Seed:               c.seed,
-		Protection:         c.protection,
-		Monitor:            monitor.Config{StaticProfile: c.static, ExecBudget: c.budget, Optimised: c.optimised},
-		DisableDecodeCache: c.noDecodeCache,
-		DisableBlockCache:  c.noBlockCache,
+		Seed:              c.seed,
+		Protection:        c.protection,
+		Monitor:           monitor.Config{StaticProfile: c.static, ExecBudget: c.budget, Optimised: c.optimised},
+		DisableBlockCache: c.noBlockCache,
 	}
 	if c.telemetry {
 		rec := telemetry.New()

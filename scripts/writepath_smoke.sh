@@ -25,7 +25,7 @@ json_field() {
 start_server() {
     rm -f "$tmp/addr"
     "$tmp/komodo-serve" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -workers 1 -seed 42 \
-        -state-dir "$tmp/state" -checkpoint-every 1 \
+        -state-dir "$tmp/state" \
         -batch 16 -batch-min 2 -batch-window 25ms -batch-dedup -group-commit \
         >>"$tmp/serve.log" 2>&1 &
     pid_srv=$!
