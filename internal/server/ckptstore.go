@@ -179,12 +179,14 @@ func (c *CheckpointStore) Save(worker int, counter uint32, ckpt *komodo.Checkpoi
 	return nil
 }
 
-// compact folds latest into a snapshot and truncates the WAL, with all
-// Saves excluded so every acknowledged record is folded before the log
-// is dropped. The snapshot rename is atomic and happens before the
-// truncate, so a crash between the two replays redundant (not missing)
-// records. Best effort: a failed compaction leaves the WAL intact, so
-// nothing durable is lost — only log growth.
+// compact folds latest into a snapshot and rewinds the WAL (store.Compact
+// recycles it in place behind a generation frame), with all Saves
+// excluded so every acknowledged record is folded before the log is
+// dropped. The snapshot rename is atomic and happens before the rewind,
+// so a crash between the two replays redundant (not missing) records.
+// Best effort: a failed snapshot leaves the WAL intact and a failed
+// rewind comes after the snapshot, so nothing durable is lost — only
+// log growth until the next Save retries.
 func (c *CheckpointStore) compact() {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -568,6 +569,153 @@ func TestCheckpointFormatDowngradeFailsClosed(t *testing.T) {
 	}
 	if err := v1UnmarshalCheckpoint(entries[0].Ckpt); err == nil {
 		t.Fatal("version 1 decoded a compact snapshot entry")
+	}
+
+	// A version that recovers with a CRC-only scan and does not know the
+	// generation frame refuses the recycled log on the frame's kind,
+	// instead of replaying the leftovers behind the live tail.
+	wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crcOnlyOpen(wal); err == nil {
+		t.Fatal("a CRC-only recovery accepted a recycled WAL")
+	}
+	fresh := t.TempDir()
+	saveCompact(t, fresh, 0, 1)
+	if wal, err = os.ReadFile(filepath.Join(fresh, "wal.log")); err != nil {
+		t.Fatal(err)
+	}
+	if err := crcOnlyOpen(wal); err != nil {
+		t.Fatalf("a CRC-only recovery refused a never-compacted WAL: %v", err)
+	}
+}
+
+// crcOnlyOpen is the WAL recovery of versions that truncated on Compact:
+// frames are replayed while their CRC holds, with no seq rule and no
+// generation frame, and OpenCheckpointStore then fails on any record
+// kind it does not know.
+func crcOnlyOpen(wal []byte) error {
+	const head = 4 + 8 + 4 + 4
+	for off := 0; off+head+4 <= len(wal); {
+		if binary.BigEndian.Uint32(wal[off:]) != 0x4B57414C {
+			break
+		}
+		seq := binary.BigEndian.Uint64(wal[off+4:])
+		kind := binary.BigEndian.Uint32(wal[off+12:])
+		n := int(binary.BigEndian.Uint32(wal[off+16:]))
+		if n > store.MaxPayloadBytes || off+head+n+4 > len(wal) {
+			break
+		}
+		if crc32.ChecksumIEEE(wal[off+4:off+head+n]) != binary.BigEndian.Uint32(wal[off+head+n:]) {
+			break
+		}
+		if kind != recCheckpoint {
+			return fmt.Errorf("WAL record %d has unknown kind %d", seq, kind)
+		}
+		off += head + n + 4
+	}
+	return nil
+}
+
+// TestCheckpointStoreV1StateCrashCopies boots on the version-1 state dir
+// and signs worker 0 past two compactions, so the WAL is recycled in
+// place. After every save it copies the state dir, as a crash right
+// then would leave it, and reopens the copy: worker 0 resumes at its
+// last acknowledged counter and worker 1, never signed here, keeps its
+// version-1 counter through both compactions. A pool restored from the
+// final state signs right past both.
+func TestCheckpointStoreV1StateCrashCopies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots real enclave boards")
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"wal.log", ckptSnapshotName} {
+		b, err := os.ReadFile(filepath.Join("testdata", "v1-state", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPool(t, pool.Config{Size: 1, Provision: RestoreProvision(cs)})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	wk, err := p.Get(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := wk.State().(*WorkerState)
+	acked := map[int]uint32{0: 33, 1: 32}
+	crash := t.TempDir()
+	for i := 0; i < 2*ckptCompactEvery+2; i++ {
+		n, err := NotarySign(ctx, st, []byte(fmt.Sprint("doc ", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Counter != acked[0]+1 {
+			t.Fatalf("sign %d: counter %d, want %d", i, n.Counter, acked[0]+1)
+		}
+		ckpt, err := wk.System().CheckpointEnclave(st.Notary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.Save(0, n.Counter, ckpt); err != nil {
+			t.Fatal(err)
+		}
+		acked[0] = n.Counter
+		for _, name := range []string{"wal.log", ckptSnapshotName} {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(crash, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		re, err := OpenCheckpointStore(crash)
+		if err != nil {
+			t.Fatalf("save %d: reopening the copy: %v", i, err)
+		}
+		for w, c := range acked {
+			if s, ok := re.Latest(w); !ok || s.Counter < c {
+				t.Fatalf("save %d: worker %d resumes at %d (ok=%v), below acknowledged %d", i, w, s.Counter, ok, c)
+			}
+		}
+		re.Close()
+	}
+	p.Release(ctx, wk, pool.Keep)
+	if c := cs.StoreStats().Compactions; c != 2 {
+		t.Fatalf("%d compactions, want 2", c)
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cs, err = OpenCheckpointStore(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	p2 := newPool(t, pool.Config{Size: 2, Provision: RestoreProvision(cs)})
+	for range acked {
+		wk, err := p2.Get(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p2.Release(ctx, wk, pool.Keep)
+		n, err := NotarySign(ctx, wk.State().(*WorkerState), []byte("after the crash"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Counter != acked[wk.ID()]+1 {
+			t.Fatalf("worker %d signed counter %d after the crash, want %d", wk.ID(), n.Counter, acked[wk.ID()]+1)
+		}
 	}
 }
 

@@ -112,6 +112,8 @@ func TestCrossServerTelemetryMerge(t *testing.T) {
 		t.Fatal("store stats missing")
 	}
 	if st := fleet.Store; st.Appends != stA.Store.Appends+stB.Store.Appends || st.Appends == 0 ||
+		st.WALBytes != stA.Store.WALBytes+stB.Store.WALBytes || st.WALBytes == 0 ||
+		st.FsyncNS != stA.Store.FsyncNS+stB.Store.FsyncNS || st.FsyncNS == 0 ||
 		st.GroupLast != stB.Store.GroupLast || st.MeanGroup() != 1 {
 		t.Fatalf("store merge: %+v", st)
 	}

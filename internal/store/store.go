@@ -6,10 +6,11 @@
 // Crash-safety invariants:
 //
 //   - Every WAL record is CRC-framed (magic, seq, kind, length, payload,
-//     CRC-32/IEEE over everything after the magic). The recovery scan
-//     replays records until the first frame that is torn or corrupt and
-//     truncates the log there — a crash mid-append loses at most the
-//     record being written, never an earlier one.
+//     CRC-32/IEEE over everything after the magic), and every record's
+//     seq is its predecessor's plus one. The recovery scan replays
+//     records until the first frame that is torn, corrupt or out of
+//     sequence — a crash mid-append loses at most the record being
+//     written, never an earlier one.
 //   - Append fsyncs before reporting success; if the fsync fails the
 //     record is rolled back (truncated) and the error surfaced, so "it
 //     returned nil" always means "it is on disk".
@@ -24,11 +25,20 @@
 //     place (and the directory fsynced), so a reader never observes a
 //     half-written snapshot. Leftover *.tmp files from a crash are
 //     ignored and removed at Open.
-//   - Compact truncates the WAL only after the caller has snapshotted
-//     the state the log's records are folded into.
+//   - Compact recycles the WAL in place, and only after the caller has
+//     snapshotted the state the log's records are folded into: a
+//     generation frame (an empty frame of a reserved kind, carrying the
+//     last seq) overwrites offset 0, and later appends overwrite the
+//     previous generation's frames behind it, so the file stays at its
+//     high-water mark and an append's fsync rewrites allocated blocks.
+//     Leftover frames all carry a seq at or below the generation's, so
+//     the seq rule fences them off and a recycled log is not truncated
+//     at Open. A log without a generation frame (never compacted, or
+//     written by an older version) has its torn tail truncated.
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,6 +48,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"time"
 )
 
 const (
@@ -46,6 +57,10 @@ const (
 	headBytes = 4 + 8 + 4 + 4      // magic, seq, kind, len
 	crcBytes  = 4
 
+	// genKind is the kind of the generation frame Compact writes at
+	// offset 0. Records() never returns it, and Append refuses it.
+	genKind = ^uint32(0)
+
 	// MaxPayloadBytes bounds one record (16 MiB) so a corrupt length
 	// field cannot drive allocation during recovery.
 	MaxPayloadBytes = 16 << 20
@@ -53,6 +68,9 @@ const (
 
 // ErrTooLarge reports an Append payload over MaxPayloadBytes.
 var ErrTooLarge = errors.New("store: payload too large")
+
+// ErrReservedKind reports an Append of the store's own frame kind.
+var ErrReservedKind = errors.New("store: record kind is reserved")
 
 // ErrClosed reports an Append after Close.
 var ErrClosed = errors.New("store: closed")
@@ -64,7 +82,11 @@ type Record struct {
 	Payload []byte
 }
 
-// RecoveryInfo describes what Open found in the WAL.
+// RecoveryInfo describes what Open found in the WAL. Records never
+// counts the generation frame. TruncatedBytes is the torn or corrupt
+// tail cut off a log without a generation frame; a recycled log keeps
+// its leftovers behind the live tail (fenced by the seq rule, and
+// overwritten by the next appends), so it reads 0 there.
 type RecoveryInfo struct {
 	Records        int   // intact records replayed
 	TruncatedBytes int64 // torn/corrupt tail bytes discarded
@@ -82,6 +104,10 @@ type Stats struct {
 	GroupSizeMax int    `json:"group_size_max" merge:"max"`
 	GroupLast    int    `json:"group_size_last" merge:"last"`
 	SyncFailures uint64 `json:"sync_failures" prom:"komodo_store_sync_failures_total" help:"WAL fsync failures (each failed every member of its group)."`
+	LockWaitNS   uint64 `json:"lock_wait_ns" prom:"komodo_store_lock_wait_seconds_total" help:"Time WAL writers spent waiting for the store mutex."`
+	FsyncNS      uint64 `json:"fsync_ns" prom:"komodo_store_fsync_seconds_total" help:"Time spent in WAL fsyncs, compactions included."`
+	WALBytes     uint64 `json:"wal_bytes" prom:"komodo_store_wal_bytes_total" help:"Bytes written to the WAL, generation frames included."`
+	Compactions  uint64 `json:"compactions" prom:"komodo_store_compactions_total" help:"WAL compactions (the log rewound behind a generation frame)."`
 }
 
 // MeanGroup is the mean commit-group size (0 before the first group).
@@ -101,7 +127,7 @@ type Store struct {
 	sync func(*os.File) error
 
 	mu    sync.Mutex // guards off, seq, recs, rec, stats
-	off   int64      // committed WAL size
+	off   int64      // end of the live log (leftovers may follow)
 	seq   uint64
 	recs  []Record
 	rec   RecoveryInfo
@@ -145,7 +171,7 @@ func WithGroupCommit() Option {
 }
 
 // Open opens (creating if needed) the store in dir and recovers the
-// WAL, truncating any torn tail.
+// WAL, truncating the torn tail of a log that was never compacted.
 func Open(dir string, opts ...Option) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -179,8 +205,12 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// recover scans the WAL frame by frame, keeping every intact record and
-// truncating at the first bad one.
+// recover replays the WAL frame by frame: an optional generation frame
+// at offset 0 sets the base seq, then every intact, in-sequence record
+// is kept. Without a generation frame the rest of the file is a torn
+// tail and is truncated. With one, the rest is left for the next appends
+// to overwrite, unless it holds an intact frame the seq rule would not
+// fence off.
 func (s *Store) recover() error {
 	info, err := s.wal.Stat()
 	if err != nil {
@@ -189,9 +219,14 @@ func (s *Store) recover() error {
 	size := info.Size()
 	var off int64
 	head := make([]byte, headBytes)
+	recycled := false
 	for {
 		good, rec, next := readFrame(s.wal, off, size, head)
-		if !good {
+		if good && off == 0 && rec.Kind == genKind {
+			s.seq, off, recycled = rec.Seq, next, true
+			continue
+		}
+		if !good || rec.Kind == genKind || (off > 0 && rec.Seq != s.seq+1) {
 			break
 		}
 		s.recs = append(s.recs, rec)
@@ -199,15 +234,43 @@ func (s *Store) recover() error {
 		off = next
 	}
 	s.rec.Records = len(s.recs)
-	s.rec.TruncatedBytes = size - off
-	if off < size {
+	s.off = off
+	if off < size && (!recycled || s.laterFrame(off, size, head)) {
+		s.rec.TruncatedBytes = size - off
 		if err := s.wal.Truncate(off); err != nil {
 			return err
 		}
 	}
-	s.off = off
 	_, err = s.wal.Seek(off, io.SeekStart)
 	return err
+}
+
+// laterFrame reports whether the WAL holds an intact frame with a seq
+// above s.seq at or after off. Leftovers of earlier generations never
+// do; a group write torn with a later member intact does, and once the
+// next appends reached that member's offset it would read as in
+// sequence. The scan reads the file a chunk at a time and reads a whole
+// frame only for a header whose seq is that high.
+func (s *Store) laterFrame(off, size int64, head []byte) bool {
+	magic := binary.BigEndian.AppendUint32(nil, recMagic)
+	chunk := make([]byte, 64<<10)
+	for ; off+headBytes+crcBytes <= size; off += int64(len(chunk) - len(magic) + 1) {
+		n, _ := s.wal.ReadAt(chunk, off)
+		for i := 0; ; i++ {
+			j := bytes.Index(chunk[i:n], magic)
+			if j < 0 {
+				break
+			}
+			i += j
+			at := off + int64(i)
+			if _, err := s.wal.ReadAt(head, at); err == nil && binary.BigEndian.Uint64(head[4:12]) > s.seq {
+				if good, _, _ := readFrame(s.wal, at, size, head); good {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // readFrame parses one frame at off; reports ok=false on any torn or
@@ -264,6 +327,9 @@ func (s *Store) Append(kind uint32, payload []byte) (uint64, error) {
 	if len(payload) > MaxPayloadBytes {
 		return 0, ErrTooLarge
 	}
+	if kind == genKind {
+		return 0, ErrReservedKind
+	}
 	if s.group {
 		p := &groupAppend{kind: kind, payload: payload, done: make(chan struct{})}
 		s.gmu.Lock()
@@ -278,19 +344,13 @@ func (s *Store) Append(kind uint32, payload []byte) (uint64, error) {
 		return p.seq, p.err
 	}
 
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	seq := s.seq + 1
 	end := headBytes + len(payload)
 	frame := appendFrame(make([]byte, 0, end+crcBytes), seq, kind, payload)
-	if _, err := s.wal.WriteAt(frame, s.off); err != nil {
-		s.rollback()
+	if err := s.write(frame); err != nil {
 		return 0, err
-	}
-	if err := s.sync(s.wal); err != nil {
-		s.stats.SyncFailures++
-		s.rollback()
-		return 0, fmt.Errorf("store: wal sync: %w", err)
 	}
 	s.off += int64(len(frame))
 	s.seq = seq
@@ -335,7 +395,7 @@ func (s *Store) committer() {
 // write or sync failure truncates the whole group away and fails every
 // member — no member is ever acknowledged off a failed fsync.
 func (s *Store) commitGroup(grp []*groupAppend) {
-	s.mu.Lock()
+	s.lock()
 	size := 0
 	for _, p := range grp {
 		size += headBytes + len(p.payload) + crcBytes
@@ -344,21 +404,12 @@ func (s *Store) commitGroup(grp []*groupAppend) {
 	for i, p := range grp {
 		buf = appendFrame(buf, s.seq+1+uint64(i), p.kind, p.payload)
 	}
-	fail := func(err error) {
-		s.rollback()
+	if err := s.write(buf); err != nil {
 		s.mu.Unlock()
 		for _, p := range grp {
 			p.err = err
 			close(p.done)
 		}
-	}
-	if _, err := s.wal.WriteAt(buf, s.off); err != nil {
-		fail(err)
-		return
-	}
-	if err := s.sync(s.wal); err != nil {
-		s.stats.SyncFailures++
-		fail(fmt.Errorf("store: wal sync: %w", err))
 		return
 	}
 	off := 0
@@ -382,6 +433,38 @@ func (s *Store) commitGroup(grp []*groupAppend) {
 	for _, p := range grp {
 		close(p.done)
 	}
+}
+
+// lock takes s.mu for a WAL write, counting the wait.
+func (s *Store) lock() {
+	t0 := time.Now()
+	s.mu.Lock()
+	s.stats.LockWaitNS += uint64(time.Since(t0))
+}
+
+// write writes frames at the end of the live log and fsyncs them. On a
+// failure it rolls the frames back and returns the error; the caller
+// holds s.mu and advances s.off on success.
+func (s *Store) write(frames []byte) error {
+	if _, err := s.wal.WriteAt(frames, s.off); err != nil {
+		s.rollback()
+		return err
+	}
+	s.stats.WALBytes += uint64(len(frames))
+	if err := s.fsync(); err != nil {
+		s.stats.SyncFailures++
+		s.rollback()
+		return fmt.Errorf("store: wal sync: %w", err)
+	}
+	return nil
+}
+
+// fsync syncs the WAL, counting the time; caller holds s.mu.
+func (s *Store) fsync() error {
+	t0 := time.Now()
+	err := s.sync(s.wal)
+	s.stats.FsyncNS += uint64(time.Since(t0))
+	return err
 }
 
 // rollback truncates an unacknowledged tail; caller holds s.mu.
@@ -412,24 +495,34 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Compact truncates the WAL. Callers write a snapshot of the folded
-// state first; compacting without one loses the log's records. The
-// caller must also quiesce its own appenders: a record appended
-// concurrently with Compact may land before the truncate and be lost
-// with it.
+// Compact empties the live log by rewinding it: a generation frame
+// carrying the last seq overwrites offset 0, is fsynced, and the next
+// append lands right behind it, over the previous generation's frames.
+// Sequence numbers carry on across compactions. Callers write a snapshot
+// of the folded state first; compacting without one loses the log's
+// records. The caller must also quiesce its own appenders: a record
+// appended concurrently with Compact may land before the rewind and be
+// lost with it.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.wal.Truncate(0); err != nil {
-		return err
-	}
-	// The file is empty now, whether or not the fsync below succeeds: the
-	// next append must start at offset 0, not behind a hole of zeros that
-	// recovery would stop at.
-	s.off = 0
 	s.recs = nil
 	s.rec = RecoveryInfo{}
-	return s.sync(s.wal)
+	frame := appendFrame(make([]byte, 0, headBytes+crcBytes), s.seq, genKind, nil)
+	if _, err := s.wal.WriteAt(frame, 0); err != nil {
+		// A partly written generation frame would hide every later
+		// append from recovery: fall back to an empty log.
+		s.off = 0
+		s.rollback()
+		return err
+	}
+	// The log is rewound now, whether or not the fsync below succeeds:
+	// the next append must land right behind the generation frame, where
+	// recovery looks for it.
+	s.off = int64(len(frame))
+	s.stats.WALBytes += uint64(len(frame))
+	s.stats.Compactions++
+	return s.fsync()
 }
 
 // WriteSnapshot atomically replaces the named snapshot file:
