@@ -39,7 +39,8 @@ bench-json:
 # The block A/B benchmark and the block differential harness also run under
 # the race detector: the superblock cache must stay bit-identical there too.
 # BenchmarkRebase runs both rebase paths of the durable write path
-# (incremental fold and full snapshot) once each; BenchmarkCheckpoint and
+# (incremental fold and full snapshot) once each, and once more for a
+# fixed time, which must end in about that time; BenchmarkCheckpoint and
 # the sha2 benchmarks run the seal on the platform SHA-256 engine.
 # BenchmarkCheckpointStoreSave runs the durable Save of a real checkpoint
 # with fsync and with a no-op sync (encode + write alone).
@@ -48,6 +49,7 @@ bench-smoke:
 	$(GO) test -race -run XXX -bench BenchmarkInterpreter -benchtime 1x .
 	$(GO) test -race -run 'TestBlockDifferential|FuzzBlockCache' ./internal/arm/
 	$(GO) test -run XXX -bench 'BenchmarkRebase|BenchmarkCheckpoint' -benchtime 1x ./komodo/
+	$(GO) test -run XXX -bench BenchmarkRebase -benchtime 200ms -timeout 60s ./komodo/
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/sha2/
 	$(GO) test -run XXX -bench BenchmarkCheckpointStoreSave -benchtime 1x ./internal/server/
 	$(GO) run ./cmd/komodo-bench -perf -perf-requests 16

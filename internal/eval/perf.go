@@ -83,9 +83,15 @@ type throughputStats struct {
 	meanBlockLen float64
 }
 
+// minThroughputWall is the least wall time a throughput measurement runs
+// for. One pass of a few hundred notary runs lasts milliseconds, and on a
+// shared host single passes spread twofold from run to run.
+const minThroughputWall = 250 * time.Millisecond
+
 // throughput measures simulated instructions retired per host second over
-// iters back-to-back notary runs (no snapshot/restore in the loop), plus
-// the block cache's hit rate and mean block length for the run.
+// passes of iters back-to-back notary runs (no snapshot/restore in the
+// loop), repeated until minThroughputWall has passed, plus the block
+// cache's hit rate and mean block length over those passes.
 func throughput(uncached bool, iters, docWords int) (throughputStats, error) {
 	var ts throughputStats
 	sys, enc, err := notarySystem(uncached)
@@ -98,12 +104,16 @@ func throughput(uncached bool, iters, docWords int) (throughputStats, error) {
 	m := sys.Machine()
 	startRetired := m.Retired()
 	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := enc.Run(uint32(docWords)); err != nil {
-			return ts, err
+	var elapsed time.Duration
+	for elapsed < minThroughputWall {
+		for i := 0; i < iters; i++ {
+			if _, err := enc.Run(uint32(docWords)); err != nil {
+				return ts, err
+			}
 		}
+		elapsed = time.Since(start)
 	}
-	wall := time.Since(start).Seconds()
+	wall := elapsed.Seconds()
 	if wall <= 0 {
 		return ts, fmt.Errorf("eval: perf run too fast to time")
 	}
@@ -149,9 +159,9 @@ func serveLoop(reqs, docWords int) (lat *obs.Histogram, deltaWords, fullWords ui
 }
 
 // Perf measures the serving hot path: reqs notary requests through the
-// snapshot/restore loop, and reqs iterations of the pure compute loop
-// block-cached (reqs/4 for the slower uncached configuration — enough for
-// a stable rate).
+// snapshot/restore loop, and passes of reqs iterations of the pure
+// compute loop block-cached (reqs/4 for the slower uncached
+// configuration), each configuration for at least minThroughputWall.
 func Perf(reqs int) (*PerfReport, error) {
 	if reqs < 8 {
 		reqs = 8

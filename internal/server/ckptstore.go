@@ -138,7 +138,8 @@ func OpenCheckpointStore(dir string, opts ...store.Option) (*CheckpointStore, er
 }
 
 // Save durably records worker's notary checkpoint at the given counter.
-// The record is encoded in one pass into one buffer, which the saved
+// The record is encoded in one pass into its own WAL frame
+// (store.AppendFrame), which the store writes as it is and the saved
 // Ckpt then aliases. The WAL append runs outside any map mutex, so
 // concurrent Saves from different sealed batches can share one fsync
 // group.
@@ -146,17 +147,23 @@ func (c *CheckpointStore) Save(worker int, counter uint32, ckpt *komodo.Checkpoi
 	if worker < 0 || uint64(worker) > math.MaxUint32 {
 		return fmt.Errorf("server: worker id %d out of range", worker)
 	}
-	var head [recHeadBytes]byte
-	binary.BigEndian.PutUint32(head[0:], recFormat)
-	binary.BigEndian.PutUint32(head[4:], uint32(worker))
-	binary.BigEndian.PutUint32(head[8:], counter)
-	payload, err := ckpt.AppendCompact(head[:])
+	const at = store.FrameHead + recHeadBytes
+	frame := make([]byte, at)
+	binary.BigEndian.PutUint32(frame[store.FrameHead:], recFormat)
+	binary.BigEndian.PutUint32(frame[store.FrameHead+4:], uint32(worker))
+	binary.BigEndian.PutUint32(frame[store.FrameHead+8:], counter)
+	// AppendCompact grows frame once, to an allocator size class; the
+	// CRC's bytes fit in its slack unless the record ends on a class
+	// boundary, where this append copies it once more.
+	frame, err := ckpt.AppendCompact(frame)
 	if err != nil {
 		return err
 	}
-	s := SavedCheckpoint{Worker: worker, Counter: counter, Ckpt: payload[recHeadBytes:]}
+	frame = append(frame, make([]byte, store.FrameTail)...)
+	end := len(frame) - store.FrameTail
+	s := SavedCheckpoint{Worker: worker, Counter: counter, Ckpt: frame[at:end:end]}
 	c.cmu.RLock()
-	seq, err := c.st.Append(recCheckpoint, payload)
+	seq, err := c.st.AppendFrame(recCheckpoint, frame)
 	if err != nil {
 		c.cmu.RUnlock()
 		return err

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -847,34 +848,88 @@ func TestCheckpointStoreConcurrentGroupSaves(t *testing.T) {
 	}
 }
 
+// notaryCheckpoint seals a fresh notary on a seed-7 board: the
+// 26,020-byte checkpoint every durable sign saves.
+func notaryCheckpoint(tb testing.TB) *komodo.Checkpoint {
+	tb.Helper()
+	sys, err := komodo.New(komodo.WithSeed(7))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	img, err := kasm.NotaryGuest(1).Image()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	enc, err := sys.LoadEnclave(komodo.FromNWOSImage(img))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ckpt, err := sys.CheckpointEnclave(enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ckpt
+}
+
+// saveModes are the store configurations a Save runs under: a real
+// fsync, a no-op one, and group commit.
+var saveModes = []struct {
+	name string
+	opts []store.Option
+}{
+	{"fsync", nil},
+	{"nosync", []store.Option{store.WithSync(func(*os.File) error { return nil })}},
+	{"group", []store.Option{store.WithGroupCommit()}},
+}
+
+// TestCheckpointStoreSaveAllocations: a Save allocates one record-sized
+// buffer — the WAL frame the record is encoded into, which the store
+// writes as it is and the saved checkpoint aliases — plus a small
+// constant, with and without fsync and through group commit.
+func TestCheckpointStoreSaveAllocations(t *testing.T) {
+	if !allocFree {
+		t.Skip("under -race, growing a slice allocates a temporary")
+	}
+	ckpt := notaryCheckpoint(t)
+	compact, err := ckpt.AppendCompact(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := store.FrameHead + recHeadBytes + len(compact) + store.FrameTail
+	for _, m := range saveModes {
+		t.Run(m.name, func(t *testing.T) {
+			cs, err := OpenCheckpointStore(t.TempDir(), m.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cs.Close()
+			if err := cs.Save(0, 1, ckpt); err != nil { // the maps grow once
+				t.Fatal(err)
+			}
+			const runs = 20 // below ckptCompactEvery: no compaction
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range runs {
+				if err := cs.Save(0, uint32(i+2), ckpt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			const slack = 2 << 10
+			if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > uint64(record+slack) {
+				t.Errorf("Save allocated %d bytes per call, want at most the %d-byte record plus %d", bytes, record, slack)
+			}
+		})
+	}
+}
+
 // BenchmarkCheckpointStoreSave measures one durable Save of a real
 // sealed notary checkpoint: encode, WAL write and fsync, with the
 // compaction every ckptCompactEvery saves amortised in. The nosync
 // variant swaps the fsync for a no-op to isolate encode + write.
 func BenchmarkCheckpointStoreSave(b *testing.B) {
-	sys, err := komodo.New(komodo.WithSeed(7))
-	if err != nil {
-		b.Fatal(err)
-	}
-	img, err := kasm.NotaryGuest(1).Image()
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc, err := sys.LoadEnclave(komodo.FromNWOSImage(img))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ckpt, err := sys.CheckpointEnclave(enc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, v := range []struct {
-		name string
-		opts []store.Option
-	}{
-		{"fsync", nil},
-		{"nosync", []store.Option{store.WithSync(func(*os.File) error { return nil })}},
-	} {
+	ckpt := notaryCheckpoint(b)
+	for _, v := range saveModes[:2] {
 		b.Run(v.name, func(b *testing.B) {
 			cs, err := OpenCheckpointStore(b.TempDir(), v.opts...)
 			if err != nil {

@@ -72,29 +72,45 @@ func (k *HMACKey) finish(inner *Hash) [Size]byte {
 // XORKeyStream XORs into dst the HMAC-SHA256 counter-mode keystream
 // under k: block i is HMAC(key, prefix ‖ i) with i a big-endian u32,
 // read as eight big-endian words, and a final partial block is cut
-// short. The key's inner and outer chaining states are put into the
-// platform digest's binary form once per call; each block is then two
-// state imports, two writes and two Sums on that digest, each Sum one
-// compression, and nothing is allocated.
+// short. Every message has a fixed length, so each hash after the key
+// block is exactly one padded block: the inner one is prefix ‖ i ‖
+// padding, the outer one the inner digest ‖ padding. Both are built once
+// per call in the engine's buffer, and the key's inner and outer chaining
+// states are put into the platform digest's binary form once per call.
+// Each compression is then one state import, one block write and one
+// state export, whose chaining words are the digest; there is no Sum and
+// no padding write, and nothing is allocated.
 func (k *HMACKey) XORKeyStream(prefix [8]byte, dst []uint32) {
 	e := engines.Get().(*engine)
 	putState(&e.pads[0], &k.inner.h, BlockSize)
 	putState(&e.pads[1], &k.outer.h, BlockSize)
-	msg := e.chunk[:len(prefix)+4]
-	copy(msg, prefix[:])
+	inner, outer := e.chunk[:BlockSize], e.chunk[BlockSize:2*BlockSize]
+	padBlock(inner, len(prefix)+4)
+	copy(inner, prefix[:])
+	padBlock(outer, Size)
 	for i := 0; i < len(dst); i += 8 {
-		binary.BigEndian.PutUint32(msg[len(prefix):], uint32(i/8))
+		binary.BigEndian.PutUint32(inner[len(prefix):], uint32(i/8))
 		e.load(e.pads[0][:])
-		e.d.Write(msg)
-		inner := e.d.Sum(e.digest[:0])
-		e.load(e.pads[1][:])
 		e.d.Write(inner)
-		ks := e.d.Sum(e.digest[:0])
+		copy(outer, e.exportState()[4:4+Size])
+		e.load(e.pads[1][:])
+		e.d.Write(outer)
+		ks := e.exportState()[4 : 4+Size]
 		for j := range dst[i:min(i+8, len(dst))] {
 			dst[i+j] ^= binary.BigEndian.Uint32(ks[4*j:])
 		}
 	}
 	engines.Put(e)
+}
+
+// padBlock makes blk the final block of an HMAC hash whose message is
+// the n bytes that lead it, after the one key block: it writes the 0x80
+// marker, zeros and the bit length of BlockSize+n bytes, leaving blk[:n]
+// for the message.
+func padBlock(blk []byte, n int) {
+	clear(blk[n:])
+	blk[n] = 0x80
+	binary.BigEndian.PutUint64(blk[BlockSize-8:], uint64(BlockSize+n)*8)
 }
 
 // HMACBlocks reports how many SHA-256 compressions an HMAC over msgLen

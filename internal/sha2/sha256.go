@@ -159,10 +159,9 @@ type engine struct {
 	state [marshaledSize]byte
 	chunk [64 * BlockSize]byte
 
-	// pads and digest serve XORKeyStream: an HMAC key's inner and outer
-	// chaining states in d's binary form, and the digest Sum appends to.
-	pads   [2][marshaledSize]byte
-	digest [Size]byte
+	// pads serves XORKeyStream: an HMAC key's inner and outer chaining
+	// states in d's binary form.
+	pads [2][marshaledSize]byte
 }
 
 // stateAppender is encoding.BinaryAppender, declared here because the

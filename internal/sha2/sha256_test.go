@@ -230,6 +230,37 @@ func TestXORKeyStreamMatchesReference(t *testing.T) {
 	}
 }
 
+// TestXORKeyStreamLongMatchesReference runs one stream the length of a
+// notary checkpoint's keystream (813 blocks), cut 5 words into its last
+// block, against refHMAC block by block. The short-stream test above
+// stays under 256 blocks, so only this one sees a counter's second byte
+// change.
+func TestXORKeyStreamLongMatchesReference(t *testing.T) {
+	const n = 813*8 - 3
+	r := mrand.New(mrand.NewSource(6))
+	for _, kl := range []int{32, 131} {
+		key := make([]byte, kl)
+		r.Read(key)
+		k := NewHMAC(key)
+		var prefix [8]byte
+		r.Read(prefix[:])
+		plain := make([]uint32, n)
+		for i := range plain {
+			plain[i] = r.Uint32()
+		}
+		got := append([]uint32(nil), plain...)
+		k.XORKeyStream(prefix, got)
+		for i := 0; i < n; i += 8 {
+			ks := refHMAC(key, binary.BigEndian.AppendUint32(prefix[:], uint32(i/8)))
+			for j := i; j < min(i+8, n); j++ {
+				if want := plain[j] ^ binary.BigEndian.Uint32(ks[4*(j-i):]); got[j] != want {
+					t.Fatalf("key %d bytes: block %d word %d = %#x, want %#x", kl, i/8, j, got[j], want)
+				}
+			}
+		}
+	}
+}
+
 // TestHMACKeyConcurrent: goroutines sharing HMACKey values and hashing
 // distinct messages get the stdlib's answers; run under -race, it checks
 // that the pooled engines are never shared.

@@ -11,6 +11,11 @@
 //     records until the first frame that is torn, corrupt or out of
 //     sequence — a crash mid-append loses at most the record being
 //     written, never an earlier one.
+//   - A caller can build a record in its own frame: AppendFrame takes a
+//     buffer with FrameHead free bytes, the payload and FrameTail free
+//     bytes, fills in the head and CRC under the store mutex and writes
+//     the buffer as it is. Append is a wrapper that copies a payload
+//     into such a frame.
 //   - Append fsyncs before reporting success; if the fsync fails the
 //     record is rolled back (truncated) and the error surfaced, so "it
 //     returned nil" always means "it is on disk".
@@ -57,6 +62,12 @@ const (
 	headBytes = 4 + 8 + 4 + 4      // magic, seq, kind, len
 	crcBytes  = 4
 
+	// FrameHead and FrameTail are the bytes an AppendFrame buffer
+	// leaves free before and after its payload for the frame's head
+	// (magic, seq, kind, length) and its CRC.
+	FrameHead = headBytes
+	FrameTail = crcBytes
+
 	// genKind is the kind of the generation frame Compact writes at
 	// offset 0. Records() never returns it, and Append refuses it.
 	genKind = ^uint32(0)
@@ -71,6 +82,10 @@ var ErrTooLarge = errors.New("store: payload too large")
 
 // ErrReservedKind reports an Append of the store's own frame kind.
 var ErrReservedKind = errors.New("store: record kind is reserved")
+
+// ErrShortFrame reports an AppendFrame buffer too short to hold a
+// frame's head and CRC.
+var ErrShortFrame = errors.New("store: frame shorter than its head and CRC")
 
 // ErrClosed reports an Append after Close.
 var ErrClosed = errors.New("store: closed")
@@ -146,11 +161,11 @@ type Store struct {
 }
 
 type groupAppend struct {
-	kind    uint32
-	payload []byte
-	seq     uint64
-	err     error
-	done    chan struct{}
+	kind  uint32
+	frame []byte
+	seq   uint64
+	err   error
+	done  chan struct{}
 }
 
 // Option configures Open.
@@ -306,32 +321,57 @@ func readFrame(f *os.File, off, size int64, head []byte) (bool, Record, int64) {
 	return true, rec, off + headBytes + n + crcBytes
 }
 
-// appendFrame appends one CRC-framed WAL record to dst (which the
-// callers size beforehand) and returns the extended slice.
-func appendFrame(dst []byte, seq uint64, kind uint32, payload []byte) []byte {
-	start := len(dst)
-	dst = binary.BigEndian.AppendUint32(dst, recMagic)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
-	dst = binary.BigEndian.AppendUint32(dst, kind)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start+4:]))
+// putFrame fills in the head and CRC of frame, whose payload sits
+// between its first headBytes and its last crcBytes.
+func putFrame(frame []byte, seq uint64, kind uint32) {
+	end := len(frame) - crcBytes
+	binary.BigEndian.PutUint32(frame[0:], recMagic)
+	binary.BigEndian.PutUint64(frame[4:], seq)
+	binary.BigEndian.PutUint32(frame[12:], kind)
+	binary.BigEndian.PutUint32(frame[16:], uint32(end-headBytes))
+	binary.BigEndian.PutUint32(frame[end:], crc32.ChecksumIEEE(frame[4:end]))
 }
 
-// Append durably adds a record and returns its sequence number. On any
-// write or sync failure the partial record is rolled back so the log
-// never holds an unacknowledged tail. With WithGroupCommit, concurrent
-// callers share one write+fsync; each still returns only after its
-// record is on disk (or after the whole group was rolled back).
+// payloadOf is the payload of a frame built for AppendFrame.
+func payloadOf(frame []byte) []byte {
+	end := len(frame) - crcBytes
+	return frame[headBytes:end:end]
+}
+
+// Append durably adds a record and returns its sequence number. It
+// copies payload into a fresh frame and hands it to AppendFrame.
 func (s *Store) Append(kind uint32, payload []byte) (uint64, error) {
 	if len(payload) > MaxPayloadBytes {
+		return 0, ErrTooLarge
+	}
+	frame := make([]byte, headBytes+len(payload)+crcBytes)
+	copy(frame[headBytes:], payload)
+	return s.AppendFrame(kind, frame)
+}
+
+// AppendFrame durably adds the record framed in frame and returns its
+// sequence number. The caller builds frame as FrameHead free bytes, the
+// payload, then FrameTail free bytes; under the store mutex AppendFrame
+// fills in the head (magic, seq, kind, length) and the CRC and writes
+// frame as it is, so the record is encoded once, in its final place.
+// The live log's record aliases frame's payload: the caller must not
+// modify frame after the call. On any write or sync failure the partial
+// record is rolled back so the log never holds an unacknowledged tail.
+// With WithGroupCommit, concurrent callers share one write+fsync; each
+// still returns only after its record is on disk (or after the whole
+// group was rolled back).
+func (s *Store) AppendFrame(kind uint32, frame []byte) (uint64, error) {
+	if len(frame) < headBytes+crcBytes {
+		return 0, ErrShortFrame
+	}
+	if len(frame)-headBytes-crcBytes > MaxPayloadBytes {
 		return 0, ErrTooLarge
 	}
 	if kind == genKind {
 		return 0, ErrReservedKind
 	}
 	if s.group {
-		p := &groupAppend{kind: kind, payload: payload, done: make(chan struct{})}
+		p := &groupAppend{kind: kind, frame: frame, done: make(chan struct{})}
 		s.gmu.Lock()
 		if s.gclosed {
 			s.gmu.Unlock()
@@ -347,8 +387,7 @@ func (s *Store) Append(kind uint32, payload []byte) (uint64, error) {
 	s.lock()
 	defer s.mu.Unlock()
 	seq := s.seq + 1
-	end := headBytes + len(payload)
-	frame := appendFrame(make([]byte, 0, end+crcBytes), seq, kind, payload)
+	putFrame(frame, seq, kind)
 	if err := s.write(frame); err != nil {
 		return 0, err
 	}
@@ -356,7 +395,7 @@ func (s *Store) Append(kind uint32, payload []byte) (uint64, error) {
 	s.seq = seq
 	// The live log aliases the written frame rather than copying the
 	// payload a second time.
-	s.recs = append(s.recs, Record{Seq: seq, Kind: kind, Payload: frame[headBytes:end:end]})
+	s.recs = append(s.recs, Record{Seq: seq, Kind: kind, Payload: payloadOf(frame)})
 	s.stats.Appends++
 	s.stats.Fsyncs++
 	s.stats.Groups++
@@ -392,17 +431,23 @@ func (s *Store) committer() {
 }
 
 // commitGroup writes one contiguous run of frames and fsyncs once. A
+// group of one writes its member's frame as it is; a larger group
+// copies its members' frames into one buffer for a single write. A
 // write or sync failure truncates the whole group away and fails every
 // member — no member is ever acknowledged off a failed fsync.
 func (s *Store) commitGroup(grp []*groupAppend) {
 	s.lock()
 	size := 0
-	for _, p := range grp {
-		size += headBytes + len(p.payload) + crcBytes
-	}
-	buf := make([]byte, 0, size)
 	for i, p := range grp {
-		buf = appendFrame(buf, s.seq+1+uint64(i), p.kind, p.payload)
+		putFrame(p.frame, s.seq+1+uint64(i), p.kind)
+		size += len(p.frame)
+	}
+	buf := grp[0].frame
+	if len(grp) > 1 {
+		buf = make([]byte, 0, size)
+		for _, p := range grp {
+			buf = append(buf, p.frame...)
+		}
 	}
 	if err := s.write(buf); err != nil {
 		s.mu.Unlock()
@@ -412,13 +457,10 @@ func (s *Store) commitGroup(grp []*groupAppend) {
 		}
 		return
 	}
-	off := 0
 	for _, p := range grp {
 		s.seq++
 		p.seq = s.seq
-		end := off + headBytes + len(p.payload)
-		s.recs = append(s.recs, Record{Seq: p.seq, Kind: p.kind, Payload: buf[off+headBytes : end : end]})
-		off = end + crcBytes
+		s.recs = append(s.recs, Record{Seq: p.seq, Kind: p.kind, Payload: payloadOf(p.frame)})
 	}
 	s.off += int64(len(buf))
 	s.stats.Appends += uint64(len(grp))
@@ -508,7 +550,8 @@ func (s *Store) Compact() error {
 	defer s.mu.Unlock()
 	s.recs = nil
 	s.rec = RecoveryInfo{}
-	frame := appendFrame(make([]byte, 0, headBytes+crcBytes), s.seq, genKind, nil)
+	frame := make([]byte, headBytes+crcBytes)
+	putFrame(frame, s.seq, genKind)
 	if _, err := s.wal.WriteAt(frame, 0); err != nil {
 		// A partly written generation frame would hide every later
 		// append from recovery: fall back to an empty log.
