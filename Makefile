@@ -43,7 +43,9 @@ bench-json:
 # fixed time, which must end in about that time; BenchmarkCheckpoint and
 # the sha2 benchmarks run the seal on the platform SHA-256 engine.
 # BenchmarkCheckpointStoreSave runs the durable Save of a real checkpoint
-# with fsync and with a no-op sync (encode + write alone).
+# with fsync and with a no-op sync (encode + write alone). BenchmarkBoot
+# boots a two-worker serving pool and BenchmarkDigest/BenchmarkExportPages
+# walk a sparse default-layout memory; -benchmem prints what each allocates.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 	$(GO) test -race -run XXX -bench BenchmarkInterpreter -benchtime 1x .
@@ -51,7 +53,8 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkRebase|BenchmarkCheckpoint' -benchtime 1x ./komodo/
 	$(GO) test -run XXX -bench BenchmarkRebase -benchtime 200ms -timeout 60s ./komodo/
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/sha2/
-	$(GO) test -run XXX -bench BenchmarkCheckpointStoreSave -benchtime 1x ./internal/server/
+	$(GO) test -run XXX -bench 'BenchmarkCheckpointStoreSave|BenchmarkBoot' -benchmem -benchtime 1x ./internal/server/
+	$(GO) test -run XXX -bench 'BenchmarkDigest|BenchmarkExportPages' -benchmem -benchtime 1x ./internal/mem/
 	$(GO) run ./cmd/komodo-bench -perf -perf-requests 16
 
 # Regenerate the committed perf baseline for this PR sequence number.

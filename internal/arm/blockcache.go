@@ -51,7 +51,7 @@ import (
 // restore), and the TLB epoch resets with the fresh TLB it installs.
 const (
 	bcacheBits  = 11
-	bcacheSize  = 1 << bcacheBits // 2048 entries, direct-mapped on head-PC word index
+	bcacheSize  = 1 << bcacheBits // 2048 entries, direct-mapped on bcIndex(head PC)
 	maxBlockLen = 256             // instructions per block (one page holds at most 1024)
 )
 
@@ -159,6 +159,13 @@ func (m *Machine) fetchCtx() uint32 {
 	return uint32(m.World()) << 1
 }
 
+// bcIndex maps a block's head PC to its cache slot. Folding in bits from
+// above the low 8 kB keeps heads a multiple of 8 kB apart (the notary's
+// blocks at VA 0x0 and 0x2000, say) out of each other's slot.
+func bcIndex(pc uint32) uint32 {
+	return ((pc >> 2) ^ (pc >> 13)) & (bcacheSize - 1)
+}
+
 // blockDispatch looks up (or builds) the superblock at PC and executes it.
 // It returns the number of slow-path loop iterations the execution stands
 // in for (instructions started, i.e. retired plus a trapping one), the
@@ -170,7 +177,7 @@ func (m *Machine) blockDispatch(remaining int64) (int64, Trap, bool) {
 		m.bc.entries = make([]bcEntry, bcacheSize)
 	}
 	ctx := m.fetchCtx()
-	e := &m.bc.entries[(m.pc>>2)&(bcacheSize-1)]
+	e := &m.bc.entries[bcIndex(m.pc)]
 	if e.valid && e.pc == m.pc && e.ctx == ctx {
 		if e.tlbEpoch == m.TLB.Epoch() {
 			if m.Phys.PageVersion(e.pa) == e.pageVer {

@@ -34,11 +34,11 @@ func refReadWords(p *Physical, addr uint32, n int, w World) ([]uint32, error) {
 // contents, dirty bits, page versions and integrity poison.
 func samePhysical(a, b *Physical) error {
 	switch {
-	case !slices.Equal(a.insecure, b.insecure) || !slices.Equal(a.secure, b.secure):
+	case !slices.Equal(flat(a.ins.pages), flat(b.ins.pages)) || !slices.Equal(flat(a.sec.pages), flat(b.sec.pages)):
 		return fmt.Errorf("memory contents differ")
-	case !slices.Equal(a.dirtyIns, b.dirtyIns) || !slices.Equal(a.dirtySec, b.dirtySec):
+	case !slices.Equal(a.ins.dirty, b.ins.dirty) || !slices.Equal(a.sec.dirty, b.sec.dirty):
 		return fmt.Errorf("dirty pages differ")
-	case !slices.Equal(a.verIns, b.verIns) || !slices.Equal(a.verSec, b.verSec):
+	case !slices.Equal(a.ins.ver, b.ins.ver) || !slices.Equal(a.sec.ver, b.sec.ver):
 		return fmt.Errorf("page versions differ")
 	case !maps.Equal(a.tampered, b.tampered) && len(a.tampered)+len(b.tampered) > 0:
 		return fmt.Errorf("integrity poison differs")
@@ -89,12 +89,8 @@ func TestBulkCopyMatchesPerWord(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							for i := range p.insecure {
-								p.insecure[i] = uint32(i) * 0x9e3779b9
-							}
-							for i := range p.secure {
-								p.secure[i] = ^uint32(i)
-							}
+							fillRegion(&p.ins, func(i int) uint32 { return uint32(i) * 0x9e3779b9 })
+							fillRegion(&p.sec, func(i int) uint32 { return ^uint32(i) })
 							if poison {
 								p.TamperDRAM(l.SecureBase+3*PageSize+16, 1)
 								p.TamperDRAM(l.SecureBase+l.SecureSize-4*WordSize, 2)

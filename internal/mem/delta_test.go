@@ -29,14 +29,16 @@ func randomDirty(t *testing.T, p *Physical, r *rand.Rand, n int) {
 // snapshot word-for-word.
 func assertMatchesSnapshot(t *testing.T, p *Physical, s *MemSnapshot) {
 	t.Helper()
-	for i, v := range s.insecure {
-		if p.insecure[i] != v {
-			t.Fatalf("insecure[%d] = %#x, snapshot holds %#x", i, p.insecure[i], v)
+	live := flat(p.ins.pages)
+	for i, v := range flat(s.ins) {
+		if live[i] != v {
+			t.Fatalf("insecure[%d] = %#x, snapshot holds %#x", i, live[i], v)
 		}
 	}
-	for i, v := range s.secure {
-		if p.secure[i] != v {
-			t.Fatalf("secure[%d] = %#x, snapshot holds %#x", i, p.secure[i], v)
+	live = flat(p.sec.pages)
+	for i, v := range flat(s.sec) {
+		if live[i] != v {
+			t.Fatalf("secure[%d] = %#x, snapshot holds %#x", i, live[i], v)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // run started from, and a replayer must be able to impose that image on a
 // freshly booted board. Both directions work in whole pages over the raw
 // backing words, so an export round-trips bit-identically regardless of
-// the protection variant (the backing arrays hold the CPU-visible values;
+// the protection variant (the backing pages hold the CPU-visible values;
 // the encryption keystream is applied only on the simulated DRAM surface).
 
 // PageImage is one page of an exported memory image.
@@ -27,41 +27,34 @@ type PageImage struct {
 // reproduces it bit-identically on a same-layout Physical.
 func (p *Physical) ExportPages() []PageImage {
 	var out []PageImage
-	collect := func(words []uint32, secure bool) {
-		npages := len(words) / PageWords
-		for pg := 0; pg < npages; pg++ {
-			chunk := words[pg*PageWords : (pg+1)*PageWords]
-			zero := true
-			for _, w := range chunk {
-				if w != 0 {
-					zero = false
-					break
-				}
+	for _, secure := range []bool{false, true} {
+		for i, pg := range p.region(secure).pages {
+			if pg != nil && !allZero(pg[:]) {
+				out = append(out, PageImage{Secure: secure, Page: uint32(i), Words: *pg})
 			}
-			if zero {
-				continue
-			}
-			img := PageImage{Secure: secure, Page: uint32(pg)}
-			copy(img.Words[:], chunk)
-			out = append(out, img)
 		}
 	}
-	collect(p.insecure, false)
-	collect(p.secure, true)
 	return out
+}
+
+// region returns the insecure or the secure region.
+func (p *Physical) region(secure bool) *region {
+	if secure {
+		return &p.sec
+	}
+	return &p.ins
 }
 
 // ExportPage copies one page's current backing words.
 func (p *Physical) ExportPage(secure bool, page uint32) (PageImage, error) {
-	words := p.insecure
-	if secure {
-		words = p.secure
-	}
-	if int(page) >= len(words)/PageWords {
+	r := p.region(secure)
+	if int(page) >= len(r.pages) {
 		return PageImage{}, fmt.Errorf("mem: export of page %d out of range", page)
 	}
 	img := PageImage{Secure: secure, Page: page}
-	copy(img.Words[:], words[page*PageWords:(page+1)*PageWords])
+	if pg := r.pages[page]; pg != nil {
+		img.Words = *pg
+	}
 	return img, nil
 }
 
@@ -73,48 +66,58 @@ func (p *Physical) ExportPage(secure bool, page uint32) (PageImage, error) {
 // before anything is written: an invalid import returns an error and
 // leaves memory and its bookkeeping untouched.
 func (p *Physical) ImportPages(pages []PageImage) error {
-	region := func(secure bool) []uint32 {
-		if secure {
-			return p.secure
-		}
-		return p.insecure
-	}
 	for _, img := range pages {
-		if int(img.Page) >= len(region(img.Secure))/PageWords {
+		if int(img.Page) >= len(p.region(img.Secure).pages) {
 			return fmt.Errorf("mem: import of page %d out of range", img.Page)
 		}
 	}
-	clear(p.insecure)
-	clear(p.secure)
-	for _, img := range pages {
-		copy(region(img.Secure)[img.Page*PageWords:], img.Words[:])
+	p.ins.copyAll(nil)
+	p.sec.copyAll(nil)
+	for i := range pages {
+		img := &pages[i]
+		copyPage(&p.region(img.Secure).pages[img.Page], &img.Words)
 	}
 	p.tampered = nil
-	bumpAll(p.verIns)
-	bumpAll(p.verSec)
-	clearBits(p.dirtyIns)
-	clearBits(p.dirtySec)
+	clear(p.ins.dirty)
+	clear(p.sec.dirty)
 	p.genCtr++
 	p.gen = p.genCtr
 	p.stats.FullRestores++
 	return nil
 }
 
+// FNV-1a parameters for Digest. zeroPageMul is prime64^PageWords mod 2^64:
+// folding a zero word is one multiply by prime64, so an unallocated page
+// folds in as one multiply by zeroPageMul.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
+var zeroPageMul = func() uint64 {
+	m := uint64(1)
+	for range PageWords {
+		m *= prime64
+	}
+	return m
+}()
+
 // Digest folds every memory word (insecure region then secure region, in
 // address order) into an FNV-1a hash — the cheap bit-identity check the
 // replayer uses to compare a replayed board's memory against the
-// recording's final state.
+// recording's final state. Unallocated pages cost one multiply each.
 func (p *Physical) Digest() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
 	h := uint64(offset64)
-	for _, w := range p.insecure {
-		h = (h ^ uint64(w)) * prime64
-	}
-	for _, w := range p.secure {
-		h = (h ^ uint64(w)) * prime64
+	for _, pages := range [...][]*page{p.ins.pages, p.sec.pages} {
+		for _, pg := range pages {
+			if pg == nil {
+				h *= zeroPageMul
+				continue
+			}
+			for _, w := range pg {
+				h = (h ^ uint64(w)) * prime64
+			}
+		}
 	}
 	return h
 }
@@ -138,5 +141,5 @@ func (p *Physical) DirtyPageList() (ins, sec []uint32) {
 		}
 		return out
 	}
-	return list(p.dirtyIns), list(p.dirtySec)
+	return list(p.ins.dirty), list(p.sec.dirty)
 }

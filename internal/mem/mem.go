@@ -15,6 +15,12 @@
 // The machine is word-addressed: all accesses are 32-bit and word-aligned,
 // matching the paper's machine model (§5.1: "our machine state models
 // memory as a mapping from word-aligned addresses to 32-bit values").
+//
+// Each region is a page table of 4 kB pages. A page that has never held a
+// non-zero word is not allocated and reads as zeros, so a board, its
+// snapshots and their restores, exports and digests cost the pages it has
+// written rather than the size of its address map: a booted board touches
+// a few dozen of the default layout's 4,352 pages.
 package mem
 
 import (
@@ -120,9 +126,10 @@ func DefaultLayout() Layout {
 // Physical is the platform's physical memory plus the TrustZone address
 // space controller. It is single-core state: not safe for concurrent use.
 type Physical struct {
-	layout   Layout
-	insecure []uint32
-	secure   []uint32
+	layout Layout
+	// ins and sec are the insecure and secure regions' page tables, with
+	// their dirty bitmaps and page versions.
+	ins, sec region
 	// tampered marks secure words whose DRAM image was physically
 	// modified under ProtEncrypt; the next CPU access faults. nil while
 	// no word is poisoned (the common case), so the snapshot/restore
@@ -131,24 +138,11 @@ type Physical struct {
 	// encKey is the (simulated) memory-encryption keystream seed.
 	encKey uint32
 
-	// Dirty-page tracking for delta restore. dirtyIns/dirtySec are
-	// bitmaps (one bit per 4 kB page) of pages written since the
-	// generation-stamped baseline: the last Snapshot taken from, or
-	// Restore applied to, this Physical. gen identifies that baseline;
-	// a snapshot whose generation matches can be restored by copying
-	// only the dirty pages.
-	dirtyIns []uint64
-	dirtySec []uint64
-	gen      uint64
-	genCtr   uint64
-
-	// verIns/verSec are per-page version counters, bumped on every write
-	// (and on every page a restore copies). A page's version changing is
-	// the only way its contents can change, so version equality is a
-	// sound content-unchanged check — the superblock cache in
-	// internal/arm validates blocks against it.
-	verIns []uint64
-	verSec []uint64
+	// gen identifies the dirty-tracking baseline: the last Snapshot taken
+	// from, or Restore applied to, this Physical. A snapshot whose
+	// generation matches can be restored by copying only the dirty pages.
+	gen    uint64
+	genCtr uint64
 
 	stats RestoreStats
 }
@@ -167,6 +161,113 @@ type RestoreStats struct {
 	LastPagesCopied uint64 `json:"last_pages_copied"`
 }
 
+// page is one 4 kB page of RAM.
+type page = [PageWords]uint32
+
+// region is one RAM region as a page table: a nil entry is a page that
+// has never held a non-zero word and reads as zeros, so memory costs
+// only the pages a board has written. A live page, once allocated, stays
+// allocated: restores copy into it in place, so the delta-restore and
+// rebase paths allocate nothing in steady state.
+type region struct {
+	pages []*page
+	// dirty is a bitmap (one bit per page) of pages written since the
+	// generation-stamped baseline.
+	dirty []uint64
+	// ver holds per-page version counters, bumped on every write (and on
+	// every page a restore copies). A page's version changing is the only
+	// way its contents can change, so version equality is a sound
+	// content-unchanged check — the superblock cache in internal/arm
+	// validates blocks against it.
+	ver []uint64
+}
+
+func newRegion(size uint32) region {
+	n := int(size / PageSize)
+	return region{
+		pages: make([]*page, n),
+		dirty: make([]uint64, (n+63)/64),
+		ver:   make([]uint64, n),
+	}
+}
+
+// word returns the word at byte offset off.
+func (r *region) word(off uint32) uint32 {
+	if pg := r.pages[off/PageSize]; pg != nil {
+		return pg[off/WordSize%PageWords]
+	}
+	return 0
+}
+
+// store writes one word at byte offset off and records the write.
+func (r *region) store(off, val uint32) {
+	r.touch(off/PageSize, 1)
+	pg := r.pages[off/PageSize]
+	if pg == nil {
+		if val == 0 {
+			return
+		}
+		pg = new(page)
+		r.pages[off/PageSize] = pg
+	}
+	pg[off/WordSize%PageWords] = val
+}
+
+// read fills dst from byte offset off; dst must not cross a page.
+func (r *region) read(off uint32, dst []uint32) {
+	if pg := r.pages[off/PageSize]; pg != nil {
+		copy(dst, pg[off/WordSize%PageWords:])
+	} else {
+		clear(dst)
+	}
+}
+
+// write stores src at byte offset off and records the writes; src must
+// not cross a page. An all-zero write to an unallocated page allocates
+// nothing.
+func (r *region) write(off uint32, src []uint32) {
+	r.touch(off/PageSize, uint64(len(src)))
+	pg := r.pages[off/PageSize]
+	if pg == nil {
+		if allZero(src) {
+			return
+		}
+		pg = new(page)
+		r.pages[off/PageSize] = pg
+	}
+	copy(pg[off/WordSize%PageWords:], src)
+}
+
+// copyAll makes the region hold src's pages, all zeros when src is nil,
+// and bumps every page version.
+func (r *region) copyAll(src []*page) {
+	for i := range r.pages {
+		var pg *page
+		if src != nil {
+			pg = src[i]
+		}
+		copyPage(&r.pages[i], pg)
+		r.ver[i]++
+	}
+}
+
+// touch records n word writes to page pg: set the dirty bit for delta
+// restore and bump the page version once per word for content-change
+// checks.
+func (r *region) touch(pg uint32, n uint64) {
+	r.dirty[pg>>6] |= 1 << (pg & 63)
+	r.ver[pg] += n
+}
+
+func allZero(words []uint32) bool {
+	for _, w := range words {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // NewPhysical builds memory for the given layout.
 func NewPhysical(l Layout) (*Physical, error) {
 	if l.InsecureBase%PageSize != 0 || l.SecureBase%PageSize != 0 ||
@@ -179,17 +280,11 @@ func NewPhysical(l Layout) (*Physical, error) {
 	if overlap(l.InsecureBase, l.InsecureSize, l.SecureBase, l.SecureSize) {
 		return nil, errors.New("mem: secure and insecure regions overlap")
 	}
-	insPages := int(l.InsecureSize / PageSize)
-	secPages := int(l.SecureSize / PageSize)
 	return &Physical{
-		layout:   l,
-		insecure: make([]uint32, l.InsecureSize/4),
-		secure:   make([]uint32, l.SecureSize/4),
-		encKey:   0x5ec0_de15,
-		dirtyIns: make([]uint64, (insPages+63)/64),
-		dirtySec: make([]uint64, (secPages+63)/64),
-		verIns:   make([]uint64, insPages),
-		verSec:   make([]uint64, secPages),
+		layout: l,
+		ins:    newRegion(l.InsecureSize),
+		sec:    newRegion(l.SecureSize),
+		encKey: 0x5ec0_de15,
 	}, nil
 }
 
@@ -224,9 +319,9 @@ func (p *Physical) Read(addr uint32, w World) (uint32, error) {
 		if p.layout.Protection == ProtEncrypt && p.tampered[addr] {
 			return 0, fmt.Errorf("%w: read %#x", ErrIntegrity, addr)
 		}
-		return p.secure[(addr-p.layout.SecureBase)/4], nil
+		return p.sec.word(addr - p.layout.SecureBase), nil
 	case p.InInsecure(addr):
-		return p.insecure[(addr-p.layout.InsecureBase)/4], nil
+		return p.ins.word(addr - p.layout.InsecureBase), nil
 	default:
 		return 0, fmt.Errorf("%w: read %#x", ErrUnmapped, addr)
 	}
@@ -247,31 +342,14 @@ func (p *Physical) Write(addr, val uint32, w World) error {
 			// pending integrity poison for that word.
 			delete(p.tampered, addr)
 		}
-		off := addr - p.layout.SecureBase
-		p.touchSecure(off/PageSize, 1)
-		p.secure[off/4] = val
+		p.sec.store(addr-p.layout.SecureBase, val)
 		return nil
 	case p.InInsecure(addr):
-		off := addr - p.layout.InsecureBase
-		p.touchInsecure(off/PageSize, 1)
-		p.insecure[off/4] = val
+		p.ins.store(addr-p.layout.InsecureBase, val)
 		return nil
 	default:
 		return fmt.Errorf("%w: write %#x", ErrUnmapped, addr)
 	}
-}
-
-// touchSecure / touchInsecure record n word writes to page pg: set the
-// dirty bit for delta restore and bump the page version once per word for
-// content-change checks.
-func (p *Physical) touchSecure(pg uint32, n uint64) {
-	p.dirtySec[pg>>6] |= 1 << (pg & 63)
-	p.verSec[pg] += n
-}
-
-func (p *Physical) touchInsecure(pg uint32, n uint64) {
-	p.dirtyIns[pg>>6] |= 1 << (pg & 63)
-	p.verIns[pg] += n
 }
 
 // ReadWords fills dst from consecutive words starting at addr. It is the
@@ -289,9 +367,9 @@ func (p *Physical) ReadWords(addr uint32, dst []uint32, w World) error {
 		n := min(len(dst), int(PageSize-addr%PageSize)/WordSize)
 		switch {
 		case p.InInsecure(addr):
-			copy(dst[:n], p.insecure[(addr-p.layout.InsecureBase)/4:])
+			p.ins.read(addr-p.layout.InsecureBase, dst[:n])
 		case p.InSecure(addr) && w == Secure && len(p.tampered) == 0:
-			copy(dst[:n], p.secure[(addr-p.layout.SecureBase)/4:])
+			p.sec.read(addr-p.layout.SecureBase, dst[:n])
 		default:
 			for i := range dst[:n] {
 				v, err := p.Read(addr+uint32(i*WordSize), w)
@@ -319,13 +397,9 @@ func (p *Physical) WriteWords(addr uint32, src []uint32, w World) error {
 		n := min(len(src), int(PageSize-addr%PageSize)/WordSize)
 		switch {
 		case p.InInsecure(addr):
-			off := addr - p.layout.InsecureBase
-			copy(p.insecure[off/4:], src[:n])
-			p.touchInsecure(off/PageSize, uint64(n))
+			p.ins.write(addr-p.layout.InsecureBase, src[:n])
 		case p.InSecure(addr) && w == Secure && len(p.tampered) == 0:
-			off := addr - p.layout.SecureBase
-			copy(p.secure[off/4:], src[:n])
-			p.touchSecure(off/PageSize, uint64(n))
+			p.sec.write(addr-p.layout.SecureBase, src[:n])
 		default:
 			for i, v := range src[:n] {
 				if err := p.Write(addr+uint32(i*WordSize), v, w); err != nil {
@@ -361,17 +435,17 @@ func (p *Physical) SnoopDRAM(addr uint32) (uint32, error) {
 	}
 	switch {
 	case p.InSecure(addr):
+		plain := p.sec.word(addr - p.layout.SecureBase)
 		switch p.layout.Protection {
 		case ProtScratchpad:
 			return 0, fmt.Errorf("%w: snoop %#x", ErrShielded, addr)
 		case ProtEncrypt:
-			plain := p.secure[(addr-p.layout.SecureBase)/4]
 			return plain ^ p.keystream(addr), nil
 		default: // ProtFilter: physical attacks out of scope, DRAM is plaintext
-			return p.secure[(addr-p.layout.SecureBase)/4], nil
+			return plain, nil
 		}
 	case p.InInsecure(addr):
-		return p.insecure[(addr-p.layout.InsecureBase)/4], nil
+		return p.ins.word(addr - p.layout.InsecureBase), nil
 	default:
 		return 0, fmt.Errorf("%w: snoop %#x", ErrUnmapped, addr)
 	}
@@ -393,17 +467,14 @@ func (p *Physical) TamperDRAM(addr, raw uint32) error {
 				p.tampered = make(map[uint32]bool)
 			}
 			p.tampered[addr] = true
-			p.touchSecure((addr-p.layout.SecureBase)/PageSize, 1)
-			p.secure[(addr-p.layout.SecureBase)/4] = raw ^ p.keystream(addr)
+			p.sec.store(addr-p.layout.SecureBase, raw^p.keystream(addr))
 			return nil
 		default:
-			p.touchSecure((addr-p.layout.SecureBase)/PageSize, 1)
-			p.secure[(addr-p.layout.SecureBase)/4] = raw
+			p.sec.store(addr-p.layout.SecureBase, raw)
 			return nil
 		}
 	case p.InInsecure(addr):
-		p.touchInsecure((addr-p.layout.InsecureBase)/PageSize, 1)
-		p.insecure[(addr-p.layout.InsecureBase)/4] = raw
+		p.ins.store(addr-p.layout.InsecureBase, raw)
 		return nil
 	default:
 		return fmt.Errorf("%w: tamper %#x", ErrUnmapped, addr)
@@ -453,13 +524,13 @@ func (p *Physical) ZeroPage(base uint32, w World) error {
 }
 
 // MemSnapshot captures the full contents of physical memory (for machine
-// snapshot/restore, e.g. forking bisimulation states mid-run). It is
+// snapshot/restore, e.g. forking bisimulation states mid-run). It holds a
+// copy of every allocated page; a nil entry reads as zeros. It is
 // generation-stamped: while the owning Physical's dirty-page tracking is
 // still baselined on this snapshot, Restore copies back only the pages
 // written since (delta restore), falling back to a full copy otherwise.
 type MemSnapshot struct {
-	insecure []uint32
-	secure   []uint32
+	ins, sec []*page
 	// tampered is nil or empty when no word was poisoned at capture time
 	// — the common case — so restores of clean snapshots allocate nothing.
 	tampered map[uint32]bool
@@ -473,18 +544,42 @@ type MemSnapshot struct {
 // from the returned snapshot.
 func (p *Physical) Snapshot() *MemSnapshot {
 	s := &MemSnapshot{
-		insecure: append([]uint32(nil), p.insecure...),
-		secure:   append([]uint32(nil), p.secure...),
-		owner:    p,
+		ins:   clonePages(p.ins.pages),
+		sec:   clonePages(p.sec.pages),
+		owner: p,
 	}
 	copyTamper(&s.tampered, p.tampered)
 	p.genCtr++
 	p.gen = p.genCtr
 	s.gen = p.gen
-	clearBits(p.dirtyIns)
-	clearBits(p.dirtySec)
+	clear(p.ins.dirty)
+	clear(p.sec.dirty)
 	p.stats.Snapshots++
 	return s
+}
+
+// clonePages copies every allocated page of a page table.
+func clonePages(pages []*page) []*page {
+	out := make([]*page, len(pages))
+	for i, pg := range pages {
+		copyPage(&out[i], pg)
+	}
+	return out
+}
+
+// copyPage makes *dst hold src's contents, a nil src being all zeros. It
+// copies into an allocated *dst in place and never sets it back to nil,
+// so it allocates only when src holds data and *dst was never allocated.
+func copyPage(dst **page, src *page) {
+	switch {
+	case src != nil:
+		if *dst == nil {
+			*dst = new(page)
+		}
+		**dst = *src
+	case *dst != nil:
+		clear((*dst)[:])
+	}
 }
 
 // Restore rewinds memory to a snapshot taken from the same layout. When
@@ -494,22 +589,20 @@ func (p *Physical) Snapshot() *MemSnapshot {
 // snapshot gets a full copy. Both paths yield bit-identical memory; the
 // delta path just skips pages that provably never changed.
 func (p *Physical) Restore(s *MemSnapshot) error {
-	if len(s.insecure) != len(p.insecure) || len(s.secure) != len(p.secure) {
+	if len(s.ins) != len(p.ins.pages) || len(s.sec) != len(p.sec.pages) {
 		return errors.New("mem: snapshot layout mismatch")
 	}
 	var pages, words uint64
 	if s.owner == p && s.gen == p.gen {
-		pages += copyDirty(p.insecure, s.insecure, p.dirtyIns, p.verIns)
-		pages += copyDirty(p.secure, s.secure, p.dirtySec, p.verSec)
+		pages += copyDirty(p.ins.pages, s.ins, p.ins.dirty, p.ins.ver)
+		pages += copyDirty(p.sec.pages, s.sec, p.sec.dirty, p.sec.ver)
 		words = pages * PageWords
 		p.stats.DeltaRestores++
 	} else {
-		copy(p.insecure, s.insecure)
-		copy(p.secure, s.secure)
-		bumpAll(p.verIns)
-		bumpAll(p.verSec)
-		pages = uint64(len(p.verIns) + len(p.verSec))
-		words = uint64(len(p.insecure) + len(p.secure))
+		p.ins.copyAll(s.ins)
+		p.sec.copyAll(s.sec)
+		pages = uint64(len(p.ins.pages) + len(p.sec.pages))
+		words = p.TotalWords()
 		p.stats.FullRestores++
 		// Memory now matches s exactly: adopt it as the dirty-tracking
 		// baseline so repeated restores of the same snapshot are deltas.
@@ -525,8 +618,8 @@ func (p *Physical) Restore(s *MemSnapshot) error {
 			p.gen = p.genCtr
 		}
 	}
-	clearBits(p.dirtyIns)
-	clearBits(p.dirtySec)
+	clear(p.ins.dirty)
+	clear(p.sec.dirty)
 	p.stats.WordsCopied += words
 	p.stats.PagesCopied += pages
 	p.stats.LastWordsCopied = words
@@ -565,60 +658,44 @@ func (p *Physical) Rebase(s *MemSnapshot) bool {
 	if s.owner != p || s.gen != p.gen {
 		return false
 	}
-	copyDirty(s.insecure, p.insecure, p.dirtyIns, nil)
-	copyDirty(s.secure, p.secure, p.dirtySec, nil)
+	copyDirty(s.ins, p.ins.pages, p.ins.dirty, nil)
+	copyDirty(s.sec, p.sec.pages, p.sec.dirty, nil)
 	copyTamper(&s.tampered, p.tampered)
 	p.genCtr++
 	p.gen = p.genCtr
 	s.gen = p.gen
-	clearBits(p.dirtyIns)
-	clearBits(p.dirtySec)
+	clear(p.ins.dirty)
+	clear(p.sec.dirty)
 	return true
 }
 
 // copyDirty copies every dirty page from src into dst and returns the
 // number of pages copied. When ver is non-nil the copied pages' versions
 // bump (dst is live memory whose contents change now).
-func copyDirty(dst, src []uint32, dirty []uint64, ver []uint64) uint64 {
+func copyDirty(dst, src []*page, dirty []uint64, ver []uint64) uint64 {
 	var pages uint64
-	for wi, bits := range dirty {
-		for bits != 0 {
-			b := bits & (-bits) // lowest set bit
-			pg := uint32(wi)<<6 | uint32(trailingZeros64(bits))
-			off := int(pg) * PageWords
-			copy(dst[off:off+PageWords], src[off:off+PageWords])
+	for wi, w := range dirty {
+		for w != 0 {
+			pg := wi<<6 | bits.TrailingZeros64(w)
+			copyPage(&dst[pg], src[pg])
 			if ver != nil {
 				ver[pg]++
 			}
 			pages++
-			bits ^= b
+			w &= w - 1 // clear the lowest set bit
 		}
 	}
 	return pages
 }
 
-func clearBits(b []uint64) {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-func bumpAll(ver []uint64) {
-	for i := range ver {
-		ver[i]++
-	}
-}
-
-func trailingZeros64(v uint64) int { return bits.TrailingZeros64(v) }
-
 // DirtyPages counts pages written since the dirty-tracking baseline (the
 // last Snapshot or Restore) — the komodo_mem_dirty_pages gauge.
 func (p *Physical) DirtyPages() int {
 	n := 0
-	for _, w := range p.dirtyIns {
+	for _, w := range p.ins.dirty {
 		n += bits.OnesCount64(w)
 	}
-	for _, w := range p.dirtySec {
+	for _, w := range p.sec.dirty {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -631,9 +708,9 @@ func (p *Physical) DirtyPages() int {
 func (p *Physical) PageVersion(addr uint32) uint64 {
 	switch {
 	case p.InInsecure(addr):
-		return p.verIns[(addr-p.layout.InsecureBase)/PageSize]
+		return p.ins.ver[(addr-p.layout.InsecureBase)/PageSize]
 	case p.InSecure(addr):
-		return p.verSec[(addr-p.layout.SecureBase)/PageSize]
+		return p.sec.ver[(addr-p.layout.SecureBase)/PageSize]
 	}
 	return 0
 }
@@ -643,4 +720,6 @@ func (p *Physical) RestoreStats() RestoreStats { return p.stats }
 
 // TotalWords returns the number of words a full restore copies (the
 // whole physical address map).
-func (p *Physical) TotalWords() uint64 { return uint64(len(p.insecure) + len(p.secure)) }
+func (p *Physical) TotalWords() uint64 {
+	return (uint64(p.layout.InsecureSize) + uint64(p.layout.SecureSize)) / WordSize
+}

@@ -26,10 +26,10 @@ func newSmallMem(t *testing.T) *Physical {
 // tamper maps.
 func assertSnapshotsEqual(t *testing.T, got, want *MemSnapshot) {
 	t.Helper()
-	if !slices.Equal(got.insecure, want.insecure) {
+	if !slices.Equal(flat(got.ins), flat(want.ins)) {
 		t.Fatal("insecure region differs from a fresh snapshot")
 	}
-	if !slices.Equal(got.secure, want.secure) {
+	if !slices.Equal(flat(got.sec), flat(want.sec)) {
 		t.Fatal("secure region differs from a fresh snapshot")
 	}
 	if !maps.Equal(got.tampered, want.tampered) {
@@ -88,9 +88,9 @@ func TestRebaseMatchesFreshSnapshot(t *testing.T) {
 				baseline = false
 			default:
 				before := p.RestoreStats()
-				verIns, verSec := slices.Clone(p.verIns), slices.Clone(p.verSec)
+				verIns, verSec := slices.Clone(p.ins.ver), slices.Clone(p.sec.ver)
 				gen, dirty := golden.gen, p.DirtyPages()
-				goldIns, goldSec := slices.Clone(golden.insecure), slices.Clone(golden.secure)
+				goldIns, goldSec := flat(golden.ins), flat(golden.sec)
 				ok := p.Rebase(golden)
 				if ok != baseline {
 					t.Fatalf("seed %d round %d: Rebase = %v, golden is baseline = %v", seed, round, ok, baseline)
@@ -98,7 +98,7 @@ func TestRebaseMatchesFreshSnapshot(t *testing.T) {
 				if !ok {
 					refusals++
 					if golden.gen != gen || p.DirtyPages() != dirty ||
-						!slices.Equal(golden.insecure, goldIns) || !slices.Equal(golden.secure, goldSec) {
+						!slices.Equal(flat(golden.ins), goldIns) || !slices.Equal(flat(golden.sec), goldSec) {
 						t.Fatalf("seed %d round %d: refused Rebase changed state", seed, round)
 					}
 					continue
@@ -111,12 +111,12 @@ func TestRebaseMatchesFreshSnapshot(t *testing.T) {
 				if p.RestoreStats() != before {
 					t.Fatal("fold counted as a snapshot or restore")
 				}
-				if !slices.Equal(p.verIns, verIns) || !slices.Equal(p.verSec, verSec) {
+				if !slices.Equal(p.ins.ver, verIns) || !slices.Equal(p.sec.ver, verSec) {
 					t.Fatal("fold bumped page versions; memory did not change")
 				}
 				// Bit-identical delta restore of the rebased golden after
 				// further writes.
-				wantIns, wantSec := slices.Clone(p.insecure), slices.Clone(p.secure)
+				wantIns, wantSec := flat(p.ins.pages), flat(p.sec.pages)
 				wantTamper := maps.Clone(p.tampered)
 				randomDirty(t, p, r, 1+r.Intn(50))
 				if err := p.Restore(golden); err != nil {
@@ -125,7 +125,7 @@ func TestRebaseMatchesFreshSnapshot(t *testing.T) {
 				if p.RestoreStats().DeltaRestores != before.DeltaRestores+1 {
 					t.Fatalf("seed %d round %d: restore of a rebased golden was not a delta", seed, round)
 				}
-				if !slices.Equal(p.insecure, wantIns) || !slices.Equal(p.secure, wantSec) ||
+				if !slices.Equal(flat(p.ins.pages), wantIns) || !slices.Equal(flat(p.sec.pages), wantSec) ||
 					!maps.Equal(p.tampered, wantTamper) {
 					t.Fatalf("seed %d round %d: delta restore diverged from the rebased state", seed, round)
 				}
@@ -163,7 +163,7 @@ func TestImportPagesRejectsBeforeWriting(t *testing.T) {
 	golden := p.Snapshot()
 	randomDirty(t, p, r, 40)
 
-	wantIns, wantSec := slices.Clone(p.insecure), slices.Clone(p.secure)
+	wantIns, wantSec := flat(p.ins.pages), flat(p.sec.pages)
 	gen := p.Generation()
 	dIns, dSec := p.DirtyPageList()
 	stats := p.RestoreStats()
@@ -176,7 +176,7 @@ func TestImportPagesRejectsBeforeWriting(t *testing.T) {
 	if err := p.ImportPages(bad); err == nil {
 		t.Fatal("out-of-range import accepted")
 	}
-	if !slices.Equal(p.insecure, wantIns) || !slices.Equal(p.secure, wantSec) {
+	if !slices.Equal(flat(p.ins.pages), wantIns) || !slices.Equal(flat(p.sec.pages), wantSec) {
 		t.Fatal("rejected import changed memory")
 	}
 	if p.Generation() != gen {

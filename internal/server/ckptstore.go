@@ -191,9 +191,9 @@ func (c *CheckpointStore) Save(worker int, counter uint32, ckpt *komodo.Checkpoi
 // excluded so every acknowledged record is folded before the log is
 // dropped. The snapshot rename is atomic and happens before the rewind,
 // so a crash between the two replays redundant (not missing) records.
-// Best effort: a failed snapshot leaves the WAL intact and a failed
-// rewind comes after the snapshot, so nothing durable is lost — only
-// log growth until the next Save retries.
+// Best effort: a failed snapshot (its directory fsync included) leaves
+// the WAL intact and a failed rewind comes after the snapshot, so nothing
+// durable is lost — only log growth until the next Save retries.
 func (c *CheckpointStore) compact() {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()

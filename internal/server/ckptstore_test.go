@@ -376,6 +376,57 @@ func saveCompact(t *testing.T, dir string, worker int, counter uint32) {
 	}
 }
 
+// TestCheckpointStoreDirSyncFailureKeepsWAL: while directory fsyncs fail,
+// no snapshot is durable, so compaction must not rewind the WAL: well
+// past the compaction threshold the log still holds every record, and a
+// reopen recovers each worker's latest counter from it.
+func TestCheckpointStoreDirSyncFailureKeepsWAL(t *testing.T) {
+	dir := t.TempDir()
+	failDirs := false
+	cs, err := OpenCheckpointStore(dir, store.WithSync(func(f *os.File) error {
+		info, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		if failDirs && info.IsDir() {
+			return fmt.Errorf("injected dir fsync failure on %s", f.Name())
+		}
+		return f.Sync()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failDirs = true
+	const saves = 2*ckptCompactEvery + 3
+	for i := uint32(1); i <= saves; i++ {
+		ckpt := &komodo.Checkpoint{Manifest: nwos.Manifest{NumPages: 1}, Blob: []uint32{i}}
+		if err := cs.Save(int(i%3), i, ckpt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cs.StoreStats(); st.Compactions != 0 {
+		t.Fatalf("%d compactions with failing directory syncs, want 0", st.Compactions)
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cs, err = OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	for worker := 0; worker < 3; worker++ {
+		want := uint32(saves)
+		for want%3 != uint32(worker) {
+			want--
+		}
+		if s, ok := cs.Latest(worker); !ok || s.Counter != want {
+			t.Fatalf("worker %d latest after reopen = %+v, want counter %d", worker, s, want)
+		}
+	}
+}
+
 // TestCheckpointStoreV1StateDir boots on a state dir written by version
 // 1 (JSON WAL records and a JSON-era checkpoints.json, under seed 42):
 // worker 0's latest is its WAL record, worker 1's its snapshot entry.
@@ -927,6 +978,22 @@ func TestCheckpointStoreSaveAllocations(t *testing.T) {
 // sealed notary checkpoint: encode, WAL write and fsync, with the
 // compaction every ckptCompactEvery saves amortised in. The nosync
 // variant swaps the fsync for a no-op to isolate encode + write.
+// BenchmarkBoot boots a two-worker Blueprint pool, as komodo-serve and
+// servebench do at start-up: two board boots and two golden snapshots.
+// Run it with -benchmem; its bytes/op is the memory a pool's set-up
+// allocates.
+func BenchmarkBoot(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		p, err := pool.New(pool.Config{Size: 2, Boot: Blueprint(1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Close(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCheckpointStoreSave(b *testing.B) {
 	ckpt := notaryCheckpoint(b)
 	for _, v := range saveModes[:2] {

@@ -87,7 +87,7 @@ func TestAppendFrameInPlaceBytes(t *testing.T) {
 		var syncs atomic.Int32
 		gate := make(chan struct{})
 		s := openT(t, dir, WithGroupCommit(), WithSync(func(f *os.File) error {
-			if syncs.Add(1) == 1 {
+			if !isDir(f) && syncs.Add(1) == 1 {
 				<-gate // hold the first commit so the next appends form one group
 			}
 			return f.Sync()

@@ -171,8 +171,9 @@ type groupAppend struct {
 // Option configures Open.
 type Option func(*Store)
 
-// WithSync replaces the fsync used after every append and snapshot —
-// the hook the crash-safety tests use to inject sync failures.
+// WithSync replaces the fsync used after every append and snapshot and on
+// the state directory — the hook the crash-safety tests use to inject
+// sync failures.
 func WithSync(fn func(*os.File) error) Option {
 	return func(s *Store) { s.sync = fn }
 }
@@ -186,8 +187,13 @@ func WithGroupCommit() Option {
 }
 
 // Open opens (creating if needed) the store in dir and recovers the
-// WAL, truncating the torn tail of a log that was never compacted.
+// WAL, truncating the torn tail of a log that was never compacted. It
+// fsyncs dir once wal.log exists in it, and dir's parent when Open
+// created dir, so a power cut cannot drop the log's directory entry
+// under an acknowledged append.
 func Open(dir string, opts ...Option) (*Store, error) {
+	_, statErr := os.Stat(dir)
+	created := errors.Is(statErr, os.ErrNotExist)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -208,7 +214,14 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	s.wal = f
-	if err := s.recover(); err != nil {
+	err = s.syncDir(dir)
+	if err == nil && created {
+		err = s.syncDir(filepath.Dir(dir))
+	}
+	if err == nil {
+		err = s.recover()
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -593,9 +606,23 @@ func (s *Store) WriteSnapshot(name string, data []byte) error {
 	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
 		return err
 	}
-	if d, err := os.Open(s.dir); err == nil {
-		s.sync(d) // directory entry durability; best effort
-		d.Close()
+	// The rename is durable only once the directory is: a failure here
+	// must reach the caller, which may otherwise drop records that only
+	// this snapshot holds.
+	return s.syncDir(s.dir)
+}
+
+// syncDir fsyncs directory dir through the store's sync hook, making the
+// entries created or renamed in it durable.
+func (s *Store) syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("store: open dir for sync: %w", err)
+	}
+	err = s.sync(d)
+	d.Close() // read-only handle: its Close error changes nothing
+	if err != nil {
+		return fmt.Errorf("store: sync dir %s: %w", dir, err)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -421,7 +422,7 @@ func TestTornGroupTailEveryOffset(t *testing.T) {
 	var syncs atomic.Int32
 	gate := make(chan struct{})
 	s := openT(t, dir, WithGroupCommit(), WithSync(func(f *os.File) error {
-		if syncs.Add(1) == 1 {
+		if !isDir(f) && syncs.Add(1) == 1 {
 			<-gate // hold the first commit so the next appends form one group
 		}
 		return f.Sync()
@@ -556,5 +557,88 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in 5s")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// isDir reports whether f is a directory: Open and WriteSnapshot sync the
+// state dir through the WithSync hook too.
+func isDir(f *os.File) bool {
+	info, err := f.Stat()
+	return err == nil && info.IsDir()
+}
+
+// dirSyncs is a WithSync hook that fsyncs files as usual and, for
+// directories, records the path and returns fail's error instead of
+// syncing when fail is set.
+type dirSyncs struct {
+	mu     sync.Mutex
+	synced []string
+	fail   error
+}
+
+func (d *dirSyncs) sync(f *os.File) error {
+	if !isDir(f) {
+		return f.Sync()
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.fail != nil {
+		return d.fail
+	}
+	d.synced = append(d.synced, f.Name())
+	return f.Sync()
+}
+
+// TestOpenSyncsDirectory: Open fsyncs the state dir once wal.log exists
+// in it, and the parent too when it created the dir, so the log's
+// directory entry survives a power cut. Reopening an existing dir syncs
+// only the dir; a failed directory sync fails the open.
+func TestOpenSyncsDirectory(t *testing.T) {
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "state")
+	rec := &dirSyncs{}
+	s := openT(t, dir, WithSync(rec.sync))
+	want := []string{dir, parent}
+	if !slices.Equal(rec.synced, want) {
+		t.Fatalf("fresh dir: directory syncs %q, want %q", rec.synced, want)
+	}
+	s.Close()
+
+	rec = &dirSyncs{}
+	openT(t, dir, WithSync(rec.sync)).Close()
+	if want := []string{dir}; !slices.Equal(rec.synced, want) {
+		t.Fatalf("existing dir: directory syncs %q, want %q", rec.synced, want)
+	}
+
+	injected := errors.New("injected dir fsync failure")
+	if s, err := Open(dir, WithSync((&dirSyncs{fail: injected}).sync)); !errors.Is(err, injected) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("open with failing dir sync: err = %v, want the injected failure", err)
+	}
+}
+
+// TestWriteSnapshotReportsDirSyncFailure: a snapshot is durable only once
+// its directory is, so a failed directory fsync is WriteSnapshot's error.
+func TestWriteSnapshotReportsDirSyncFailure(t *testing.T) {
+	dir := t.TempDir()
+	rec := &dirSyncs{}
+	s := openT(t, dir, WithSync(rec.sync))
+	injected := errors.New("injected dir fsync failure")
+	rec.mu.Lock()
+	rec.fail = injected
+	rec.mu.Unlock()
+	if err := s.WriteSnapshot("snap", []byte("x")); !errors.Is(err, injected) {
+		t.Fatalf("WriteSnapshot with failing dir sync: err = %v, want the injected failure", err)
+	}
+	rec.mu.Lock()
+	rec.fail = nil
+	rec.mu.Unlock()
+	if err := s.WriteSnapshot("snap", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.synced[len(rec.synced)-1]; got != dir {
+		t.Fatalf("WriteSnapshot synced %q, want the state dir %q", got, dir)
 	}
 }
