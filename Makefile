@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify bench bench-quick bench-json bench-smoke bench-baseline bench-baseline-check bench-fleet bench-batch bench-writepath examples loc fmt vet clean serve serve-smoke ckpt-smoke obs-smoke gateway-smoke batch-smoke replay-smoke writepath-smoke load-compare
+.PHONY: all build test race verify bench bench-quick bench-json bench-smoke bench-baseline bench-baseline-check examples loc fmt vet clean serve serve-smoke ckpt-smoke obs-smoke gateway-smoke batch-smoke replay-smoke writepath-smoke
 
 all: build vet test
 
@@ -62,16 +62,8 @@ BENCH_N ?= 6
 bench-baseline:
 	$(GO) run ./cmd/komodo-bench -json > BENCH_$(BENCH_N).json
 
-# Regenerate the committed fleet-scaling baseline (BENCH_7.json): whole
-# in-process fleets (N pools behind N servers behind a real gateway),
-# sharded notary load, per-backend quantiles, fleet-wide duplicate
-# counter detection.
-bench-fleet:
-	$(GO) run ./cmd/komodo-load -sweep-backends 1,2,4 -endpoint notary \
-		-workers 2 -clients 8 -duration 5s -json > BENCH_7.json
-
 # The serving layer (docs/SERVING.md): warm-pool attestation/notary HTTP
-# service, and the boot-vs-snapshot provisioning comparison.
+# service.
 serve:
 	$(GO) run ./cmd/komodo-serve
 
@@ -110,11 +102,6 @@ batch-smoke:
 replay-smoke:
 	sh scripts/replay_smoke.sh
 
-# Regenerate the committed batching baseline (BENCH_8.json): crossings
-# per signed request and latency, unbatched vs K = 8/16/32.
-bench-batch:
-	$(GO) run ./cmd/komodo-bench -batch -json > BENCH_8.json
-
 # Adaptive write path (docs/BATCHING.md §Adaptive write path): race-built
 # serve with dynamic K + dedup + group commit under Zipf-skewed load;
 # receipts verify offline, K moves off its floor, dedup coalesces, the
@@ -123,20 +110,10 @@ bench-batch:
 writepath-smoke:
 	sh scripts/writepath_smoke.sh
 
-# Regenerate the committed write-path baseline (BENCH_10.json):
-# crossings/sign, fsyncs/sign, and latency across load levels and skew —
-# unbatched vs fixed K vs adaptive+dedup+group-commit, durable counters
-# checkpointed after every sign.
-bench-writepath:
-	$(GO) run ./cmd/komodo-bench -writepath -json > BENCH_10.json
-
 # Docs/baseline drift guard: every BENCH_*.json referenced from
 # docs/PERFORMANCE.md or EXPERIMENTS.md must exist in the tree.
 bench-baseline-check:
 	sh scripts/bench_baseline_check.sh
-
-load-compare:
-	$(GO) run ./cmd/komodo-load -compare -workers 4 -clients 8 -duration 5s
 
 examples:
 	@for ex in quickstart notary attestation dynamicmem maliciousos vault selfpaging remoteattest swap; do \

@@ -1,8 +1,9 @@
-// komodo-bench regenerates the paper's evaluation: Table 3, the §8.1 SGX
-// comparison, Figure 5, and the Table 2 line-count breakdown. With no
-// flags it prints everything; -json emits the selected sections as one
-// machine-readable object (the schema komodo-load result tracking and
-// BENCH_*.json diffing consume).
+// komodo-bench regenerates the paper's evaluation: Table 3, the
+// crossing-optimisation ablation, the §8.1 SGX comparison, Figure 5, and
+// the Table 2 line-count breakdown, plus the host hot-path section
+// (-perf). With no flags it prints everything; -json emits the selected
+// sections as one machine-readable object (the schema of the BENCH_*.json
+// baselines that make bench-baseline writes).
 package main
 
 import (
@@ -16,15 +17,13 @@ import (
 
 // output is the -json schema: each requested section, keyed by name.
 type output struct {
-	Table3      []eval.Table3Row    `json:"table3,omitempty"`
-	Ablation    []eval.AblationRow  `json:"ablation,omitempty"`
-	SGX         []eval.SGXRow       `json:"sgx,omitempty"`
-	Figure5     []eval.Fig5Point    `json:"figure5,omitempty"`
-	Table2      []eval.LocRow       `json:"table2,omitempty"`
-	PaperTable2 []eval.PaperRow     `json:"paper_table2,omitempty"`
-	Perf        *eval.PerfReport    `json:"perf,omitempty"`
-	Batch       []eval.BatchRow     `json:"batch,omitempty"`
-	WritePath   []eval.WritePathRow `json:"writepath,omitempty"`
+	Table3      []eval.Table3Row   `json:"table3,omitempty"`
+	Ablation    []eval.AblationRow `json:"ablation,omitempty"`
+	SGX         []eval.SGXRow      `json:"sgx,omitempty"`
+	Figure5     []eval.Fig5Point   `json:"figure5,omitempty"`
+	Table2      []eval.LocRow      `json:"table2,omitempty"`
+	PaperTable2 []eval.PaperRow    `json:"paper_table2,omitempty"`
+	Perf        *eval.PerfReport   `json:"perf,omitempty"`
 }
 
 func main() {
@@ -35,15 +34,10 @@ func main() {
 	abl := flag.Bool("ablation", false, "print only the crossing-optimisation ablation")
 	perf := flag.Bool("perf", false, "print only the host hot-path performance section (docs/PERFORMANCE.md)")
 	perfReqs := flag.Int("perf-requests", 200, "notary requests the -perf section serves")
-	batchAB := flag.Bool("batch", false, "print only the batched-signing A/B (docs/BATCHING.md)")
-	batchReqs := flag.Int("batch-requests", 2000, "signs per configuration in the -batch section")
-	batchClients := flag.Int("batch-clients", 16, "closed-loop clients in the -batch section")
-	wp := flag.Bool("writepath", false, "print only the adaptive write-path sweep (docs/BATCHING.md §Adaptive write path)")
-	wpReqs := flag.Int("writepath-requests", 1536, "signs per cell in the -writepath sweep")
 	asJSON := flag.Bool("json", false, "emit the selected sections as JSON")
 	root := flag.String("root", ".", "module root for the line-count breakdown")
 	flag.Parse()
-	all := !*t3 && !*sgxOnly && !*f5 && !*t2 && !*abl && !*perf && !*batchAB && !*wp
+	all := !*t3 && !*sgxOnly && !*f5 && !*t2 && !*abl && !*perf
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "komodo-bench:", err)
@@ -94,21 +88,6 @@ func main() {
 		}
 		out.Perf = r
 	}
-	if all || *batchAB {
-		rows, err := eval.BatchAB(*batchReqs, *batchClients, []int{8, 16, 32})
-		if err != nil {
-			fail(err)
-		}
-		out.Batch = rows
-	}
-	if all || *wp {
-		rows, err := eval.WritePathSweep(*wpReqs)
-		if err != nil {
-			fail(err)
-		}
-		out.WritePath = rows
-	}
-
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -161,32 +140,6 @@ func main() {
 			p.RestoreWordsPerRequest, p.RestoreWordsFullCopy, p.RestoreReduction)
 		fmt.Printf("  serve:       p50 %.0f µs, p95 %.0f µs over %d notary requests (%d-word docs)\n",
 			p.ServeP50Micros, p.ServeP95Micros, p.Requests, p.DocWords)
-		fmt.Println()
-	}
-	if out.Batch != nil {
-		fmt.Println("Batched signing A/B (crossings per signed request; docs/BATCHING.md)")
-		fmt.Printf("  %-14s %8s %10s %10s %10s %10s %8s\n",
-			"config", "signed", "crossings", "xings/ok", "req/s", "p50 µs", "meanK")
-		base := out.Batch[0]
-		for _, r := range out.Batch {
-			fmt.Printf("  %-14s %8d %10d %10.3f %10.1f %10.0f %8.1f",
-				r.Config, r.Requests, r.Crossings, r.CrossingsPerOK, r.Throughput, r.P50Micros, r.MeanBatch)
-			if r.BatchSize > 0 && r.CrossingsPerOK > 0 {
-				fmt.Printf("  (%.1fx fewer crossings)", base.CrossingsPerOK/r.CrossingsPerOK)
-			}
-			fmt.Println()
-		}
-		fmt.Println()
-	}
-	if out.WritePath != nil {
-		fmt.Println("Adaptive write path (durable counters, checkpoint every sign; docs/PERFORMANCE.md)")
-		fmt.Printf("  %-22s %8s %-8s %8s %10s %10s %8s %6s %8s %10s\n",
-			"config", "clients", "skew", "signed", "xings/ok", "fsyncs/ok", "dedup", "K", "meanGrp", "p50 µs")
-		for _, r := range out.WritePath {
-			fmt.Printf("  %-22s %8d %-8s %8d %10.3f %10.3f %8d %6d %8.1f %10.0f\n",
-				r.Config, r.Clients, r.Skew, r.Requests, r.CrossingsPerOK, r.FsyncsPerOK,
-				r.Dedup, r.KFinal, r.MeanGroup, r.P50Micros)
-		}
 		fmt.Println()
 	}
 	if out.Table2 != nil {

@@ -48,7 +48,6 @@ func main() {
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request worker-wait deadline")
 	reuse := flag.Int("max-reuse", 0, "retire a worker after this many requests (0 = never)")
 	seed := flag.Uint64("seed", 42, "board RNG seed (all workers share it: identical quote keys)")
-	mode := flag.String("mode", "snapshot", "worker re-provisioning: snapshot | boot")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget")
 	healthcheck := flag.Bool("healthcheck", false, "run a full attest probe after every restore")
 	stateDir := flag.String("state-dir", "", "durable notary state directory (empty: counters are volatile)")
@@ -113,14 +112,6 @@ func main() {
 		MaxReuse:  *reuse,
 		Provision: provision,
 	}
-	switch *mode {
-	case "snapshot":
-		pcfg.Mode = pool.ModeSnapshot
-	case "boot":
-		pcfg.Mode = pool.ModeBootEach
-	default:
-		fail(fmt.Errorf("unknown -mode %q (want snapshot or boot)", *mode))
-	}
 	if *healthcheck {
 		pcfg.HealthCheck = server.HealthCheck
 	}
@@ -130,7 +121,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("booted %d worker(s) in %v (%s mode)\n", *workers, time.Since(bootStart).Round(time.Millisecond), pcfg.Mode)
+	fmt.Printf("booted %d worker(s) in %v\n", *workers, time.Since(bootStart).Round(time.Millisecond))
 
 	var admission *tenant.Registry
 	if *tiers != "" {

@@ -1,10 +1,7 @@
 // Package load is the closed-loop load driver for the enclave serving
 // layer. Each client loops request → response → next request, so offered
 // load tracks service capacity and the server's queue exercises real
-// backpressure. komodo-load and the evaluation harness's serving tables
-// (komodo-bench -batch, -writepath) both measure through Run, so they
-// share one client loop, one corpus, one quantile definition
-// (obs.Histogram) and one enclave-crossing count.
+// backpressure. komodo-load is the command-line front end over Run.
 package load
 
 import (
@@ -56,11 +53,10 @@ type Config struct {
 	RespectRetryAfter bool
 }
 
-// Result is one load run's summary (also komodo-load's -json schema).
+// Result is one load run's summary. komodo-load -json prints it as a
+// one-element array.
 type Result struct {
 	Label      string  `json:"label"`
-	Mode       string  `json:"mode,omitempty"`
-	Workers    int     `json:"workers,omitempty"`
 	Clients    int     `json:"clients"`
 	Seconds    float64 `json:"seconds"`
 	OK         int     `json:"ok"`
@@ -83,11 +79,9 @@ type Result struct {
 	// Any nonzero value means a counter was lost or duplicated — e.g. a
 	// failover or migration spliced two lineages together.
 	CounterDups int `json:"counter_dups"`
-	// Backends is the fleet size when driving through a gateway
-	// (-sweep-backends), and PerBackend the per-node latency view built
-	// from the X-Komodo-Backend attribution header (merged quantiles in
-	// the top-level fields come from summing these histograms).
-	Backends   int             `json:"backends,omitempty"`
+	// PerBackend is the per-node latency view built from the
+	// X-Komodo-Backend attribution header (merged quantiles in the
+	// top-level fields come from summing these histograms).
 	PerBackend []BackendResult `json:"per_backend,omitempty"`
 	// RejectClasses breaks every 429/503 down by the X-Komodo-Reject
 	// header: rate_limit/quota/shed are admission control, queue_full is

@@ -15,10 +15,6 @@
 // run after every restore (a worker that fails it is retired too). A
 // request that errors mid-flight releases with Fail, which always
 // retires: a board in an unknown state is never returned to the pool.
-//
-// For apples-to-apples measurement the pool also runs in ModeBootEach,
-// which re-boots the worker after every request instead of restoring —
-// the baseline the snapshot-clone design is measured against.
 package pool
 
 import (
@@ -33,23 +29,6 @@ import (
 	"repro/komodo"
 )
 
-// Mode selects how a worker is re-provisioned between requests.
-type Mode int
-
-const (
-	// ModeSnapshot restores the golden snapshot on release (fast clone).
-	ModeSnapshot Mode = iota
-	// ModeBootEach boots a fresh board on release (the slow baseline).
-	ModeBootEach
-)
-
-func (m Mode) String() string {
-	if m == ModeBootEach {
-		return "boot-each"
-	}
-	return "snapshot"
-}
-
 // BootFunc boots one worker's platform: a fresh System plus an opaque
 // application state (enclave handles etc.) that request handlers retrieve
 // with Worker.State. It must return the system at a quiescent point — the
@@ -63,8 +42,6 @@ type Config struct {
 	Size int
 	// Boot boots one worker. Required.
 	Boot BootFunc
-	// Mode selects snapshot-clone (default) or boot-per-request.
-	Mode Mode
 	// MaxReuse retires a worker after this many checkouts since its last
 	// boot, re-booting it fresh. 0 means unlimited.
 	MaxReuse int
@@ -86,9 +63,9 @@ type Config struct {
 type Outcome int
 
 const (
-	// OK releases a healthy worker; the pool re-provisions it according
-	// to its Mode (restore to golden, or re-boot). Use for stateless
-	// requests: nothing from this request survives.
+	// OK releases a healthy worker; the pool restores it to its golden
+	// snapshot. Use for stateless requests: nothing from this request
+	// survives.
 	OK Outcome = iota
 	// Keep releases the worker without re-provisioning: enclave state
 	// (e.g. the notary's monotonic counter) persists to the next
@@ -152,7 +129,6 @@ type Stats struct {
 	Dead        int    `json:"dead" prom:"komodo_pool_workers,state=dead"`                               // slots abandoned after boot failures
 	Available   int    `json:"available" prom:"komodo_pool_workers,state=available"`                     // idle workers ready for Get
 	InFlight    int    `json:"in_flight" prom:"komodo_pool_workers,state=in_flight"`                     // checked-out workers
-	Mode        string `json:"mode"`                                                                     // snapshot | boot-each
 	Gets        uint64 `json:"gets" prom:"komodo_pool_gets_total" help:"Successful worker checkouts."`
 	Puts        uint64 `json:"puts" prom:"komodo_pool_puts_total" help:"Worker releases."`
 	Boots       uint64 `json:"boots" prom:"komodo_pool_boots_total" help:"Full board boots, including the initial ones."`
@@ -275,7 +251,7 @@ func (p *Pool) Get(ctx context.Context) (*Worker, error) {
 }
 
 // Put releases a worker checked out with Get. The outcome decides its
-// fate: OK re-provisions per the pool mode, Keep preserves state, Fail
+// fate: OK restores the golden snapshot, Keep preserves state, Fail
 // retires. Re-provisioning happens synchronously in the caller.
 func (p *Pool) Put(w *Worker, outcome Outcome) {
 	p.Release(context.Background(), w, outcome)
@@ -285,9 +261,9 @@ func (p *Pool) Put(w *Worker, outcome Outcome) {
 // observability trace (internal/obs), the re-provision phase is recorded
 // as a "restore" span whose detail names the action actually taken —
 // "golden" (snapshot rewind), "keep" (state preserved, no rewind) or
-// "boot" (full re-boot, whether from Fail, reuse limit or boot-each
-// mode). Re-provisioning happens synchronously in the caller, so the
-// span measures cost the releasing request really paid.
+// "boot" (full re-boot, from Fail or the reuse limit). Re-provisioning
+// happens synchronously in the caller, so the span measures cost the
+// releasing request really paid.
 func (p *Pool) Release(ctx context.Context, w *Worker, outcome Outcome) {
 	p.mu.Lock()
 	p.inFlight--
@@ -304,20 +280,13 @@ func (p *Pool) Release(ctx context.Context, w *Worker, outcome Outcome) {
 	sp := obs.FromContext(ctx).StartSpan("restore")
 	overused := p.cfg.MaxReuse > 0 && w.uses >= p.cfg.MaxReuse
 	switch {
-	case outcome == Fail:
-		p.count(func(s *Stats) { s.Retires++ })
-		p.reboot(w)
-		sp.EndDetail("boot")
-	case overused:
+	case outcome == Fail || overused:
 		p.count(func(s *Stats) { s.Retires++ })
 		p.reboot(w)
 		sp.EndDetail("boot")
 	case outcome == Keep:
 		p.free <- w
 		sp.EndDetail("keep")
-	case p.cfg.Mode == ModeBootEach:
-		p.reboot(w)
-		sp.EndDetail("boot")
 	default:
 		p.restore(w)
 		sp.EndDetail("golden")
@@ -408,7 +377,6 @@ func (p *Pool) Stats() Stats {
 	s.Dead = p.dead
 	s.Available = len(p.free)
 	s.InFlight = p.inFlight
-	s.Mode = p.cfg.Mode.String()
 	return s
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/kasm"
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/komodo"
 )
@@ -143,18 +144,53 @@ func TestMaxReuseTriggersReboot(t *testing.T) {
 	}
 }
 
-func TestBootEachMode(t *testing.T) {
-	p := mustPool(t, Config{Size: 1, Mode: ModeBootEach})
-	for i := 0; i < 2; i++ {
-		w := get(t, p)
-		if c := notarise(t, w); c != 1 {
-			t.Fatalf("counter = %d, want 1", c)
-		}
-		p.Put(w, OK)
-	}
-	s := p.Stats()
-	if s.Boots != 3 || s.Restores != 0 {
-		t.Fatalf("stats: %+v", s)
+// TestReleaseRestoreSpan pins, for each release path, the detail of
+// Release's "restore" span and the stats delta it leaves behind.
+func TestReleaseRestoreSpan(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxReuse int
+		outcome  Outcome
+		detail   string
+		restores uint64 // Stats.Restores delta
+		retires  uint64 // Stats.Retires delta (each retire is one re-boot)
+	}{
+		{"ok", 0, OK, "golden", 1, 0},
+		{"keep", 0, Keep, "keep", 0, 0},
+		{"fail", 0, Fail, "boot", 0, 1},
+		{"reuse-limit", 1, OK, "boot", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := mustPool(t, Config{Size: 1, MaxReuse: tc.maxReuse})
+			w := get(t, p)
+			notarise(t, w)
+			before := p.Stats()
+			tr := obs.NewTrace("release", "")
+			p.Release(obs.WithTrace(context.Background(), tr), w, tc.outcome)
+			after := p.Stats()
+
+			var details []string
+			for _, sp := range tr.Data().Spans {
+				if sp.Name == "restore" {
+					details = append(details, sp.Detail)
+				}
+			}
+			if len(details) != 1 || details[0] != tc.detail {
+				t.Fatalf("restore span details %q, want [%q]", details, tc.detail)
+			}
+			if d := after.Restores - before.Restores; d != tc.restores {
+				t.Fatalf("restores +%d, want +%d", d, tc.restores)
+			}
+			if d := after.Retires - before.Retires; d != tc.retires {
+				t.Fatalf("retires +%d, want +%d", d, tc.retires)
+			}
+			if d := after.Boots - before.Boots; d != tc.retires {
+				t.Fatalf("boots +%d, want +%d", d, tc.retires)
+			}
+			if after.Puts != before.Puts+1 || after.Available != 1 {
+				t.Fatalf("worker not released: %+v", after)
+			}
+		})
 	}
 }
 

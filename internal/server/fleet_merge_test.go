@@ -97,7 +97,7 @@ func TestCrossServerTelemetryMerge(t *testing.T) {
 		t.Fatalf("server counters not summed: %+v + %+v = %+v", a, b, f)
 	}
 	if p := fleet.Pool; p.Gets != stA.Pool.Gets+stB.Pool.Gets || p.Boots != stA.Pool.Boots+stB.Pool.Boots ||
-		p.Live != 2 || p.Mode != stA.Pool.Mode {
+		p.Live != 2 {
 		t.Fatalf("pool merge: %+v", p)
 	}
 	if stA.Batch == nil || stB.Batch == nil || fleet.Batch == nil {
