@@ -19,15 +19,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/gateway"
@@ -77,45 +72,8 @@ func main() {
 		fmt.Printf("backend %s -> %s\n", s.Name, s.URL)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	if err := g.Edge().Serve(*addr, *addrFile, g.Drain, *drainTimeout); err != nil {
 		fail(err)
-	}
-	bound := ln.Addr().String()
-	fmt.Printf("gateway listening on http://%s (%d backends)\n", bound, len(specs))
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
-			fail(err)
-		}
-	}
-
-	hs := &http.Server{Handler: g}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	go func() {
-		for range quit {
-			fmt.Fprintln(os.Stderr, "SIGQUIT: dumping slow proxied traces")
-			g.FlightRecorder().WriteJSON(os.Stderr)
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		fmt.Printf("received %v, draining...\n", s)
-	case err := <-errc:
-		fail(err)
-	}
-
-	g.Drain()
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		fail(fmt.Errorf("http shutdown: %w", err))
 	}
 	st := g.Stats().Gateway
 	fmt.Printf("drained cleanly: %d requests proxied, %d failovers, %d migrations\n",

@@ -1,7 +1,8 @@
 // komodo-load is a closed-loop load generator for the enclave serving
 // layer. Each client loops request → response → next request, so offered
 // load tracks service capacity and the queue exercises real backpressure.
-// It is a client only: -url (one komodo-serve) or -targets is required.
+// It is a client only: exactly one of -url (one komodo-serve) and -targets
+// is required.
 //
 //	komodo-load -url http://127.0.0.1:8787 -clients 8 -duration 5s -verify
 //
@@ -20,6 +21,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,9 +34,9 @@ import (
 
 func main() {
 	var (
-		url, targets string
-		jsonOut      bool
-		cfg          load.Config
+		url, targets, label string
+		jsonOut             bool
+		cfg                 load.Config
 	)
 	flag.StringVar(&url, "url", "", "target server base URL")
 	flag.StringVar(&targets, "targets", "", "fleet targets: one gateway URL, or comma-separated backend URLs")
@@ -51,20 +53,10 @@ func main() {
 	flag.IntVar(&cfg.ZipfDocs, "zipf-docs", 1024, "distinct documents in the Zipf corpus (with -zipf)")
 	flag.BoolVar(&cfg.RespectRetryAfter, "respect-retry-after", false, "honor Retry-After on 429/503 (sleep it, capped at 2s) instead of the fixed backoff")
 	flag.Parse()
-	label := "remote"
-	switch {
-	case targets != "":
-		for _, u := range strings.Split(targets, ",") {
-			cfg.Targets = append(cfg.Targets, strings.TrimRight(strings.TrimSpace(u), "/"))
-		}
-		label = "gateway"
-		if len(cfg.Targets) > 1 {
-			label = fmt.Sprintf("direct/%db", len(cfg.Targets))
-		}
-	case url != "":
-		cfg.Targets = []string{strings.TrimRight(url, "/")}
-	default:
-		fmt.Fprintln(os.Stderr, "komodo-load: -url or -targets is required")
+	var err error
+	cfg.Targets, label, err = selectTargets(url, targets)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "komodo-load:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -128,6 +120,25 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// selectTargets turns -url or -targets (exactly one of them) into the
+// base URLs load.Run drives and the label its result row carries.
+func selectTargets(url, targets string) ([]string, string, error) {
+	if (url == "") == (targets == "") {
+		return nil, "", errors.New("give exactly one of -url and -targets")
+	}
+	if url != "" {
+		return []string{strings.TrimRight(url, "/")}, "remote", nil
+	}
+	var out []string
+	for _, u := range strings.Split(targets, ",") {
+		out = append(out, strings.TrimRight(strings.TrimSpace(u), "/"))
+	}
+	if len(out) > 1 {
+		return out, fmt.Sprintf("direct/%db", len(out)), nil
+	}
+	return out, "gateway", nil
 }
 
 func fail(err error) {

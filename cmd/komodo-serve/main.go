@@ -182,33 +182,6 @@ func main() {
 		go http.Serve(pln, pm)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fail(err)
-	}
-	bound := ln.Addr().String()
-	fmt.Printf("listening on http://%s\n", bound)
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
-			fail(err)
-		}
-	}
-
-	hs := &http.Server{Handler: srv}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	// SIGQUIT dumps the flight recorder to stderr and keeps serving —
-	// the "why are requests slow right now" lever that needs no client.
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	go func() {
-		for range quit {
-			fmt.Fprintln(os.Stderr, "SIGQUIT: dumping slow-request traces")
-			srv.FlightRecorder().WriteJSON(os.Stderr)
-		}
-	}()
-
 	// SIGUSR1 freezes the world on each worker it can catch mid-enclave,
 	// dumps registers and disassembly around PC to stderr, and resumes —
 	// the no-client "what is this board executing right now" lever. An
@@ -237,21 +210,11 @@ func main() {
 		}
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		fmt.Printf("received %v, draining...\n", s)
-	case err := <-errc:
+	if err := srv.Edge().Serve(*addr, *addrFile, srv.Drain, *drainTimeout); err != nil {
 		fail(err)
 	}
-
-	srv.Drain()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		fail(fmt.Errorf("http shutdown: %w", err))
-	}
 	if err := p.Close(ctx); err != nil {
 		fail(fmt.Errorf("pool drain: %w", err))
 	}

@@ -66,7 +66,12 @@ func main() {
 		printSnapshot(snap)
 		return
 	}
-	summariseJSONL(input)
+	sum, err := summariseJSONL(input)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "komodo-stats:", err)
+		os.Exit(1)
+	}
+	sum.print()
 }
 
 // sniffSnapshot reports whether the input is one merged-snapshot JSON
@@ -158,13 +163,17 @@ func printSnapshot(s telemetry.Snapshot) {
 	}
 }
 
+// summary is an event stream aggregated per kind and call name.
+type summary struct {
+	perKind           map[string]map[string]*agg
+	total, badLines   int
+	firstSeq, lastSeq uint64
+}
+
 // summariseJSONL aggregates a telemetry event stream line by line.
-func summariseJSONL(input []byte) {
-	r := bytes.NewReader(input)
-	perKind := map[string]map[string]*agg{}
-	var total, badLines int
-	var firstSeq, lastSeq uint64
-	sc := bufio.NewScanner(r)
+func summariseJSONL(input []byte) (summary, error) {
+	s := summary{perKind: map[string]map[string]*agg{}}
+	sc := bufio.NewScanner(bytes.NewReader(input))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
 		raw := sc.Bytes()
@@ -173,18 +182,18 @@ func summariseJSONL(input []byte) {
 		}
 		var e line
 		if err := json.Unmarshal(raw, &e); err != nil {
-			badLines++
+			s.badLines++
 			continue
 		}
-		if total == 0 {
-			firstSeq = e.Seq
+		if s.total == 0 {
+			s.firstSeq = e.Seq
 		}
-		lastSeq = e.Seq
-		total++
-		byName := perKind[e.Kind]
+		s.lastSeq = e.Seq
+		s.total++
+		byName := s.perKind[e.Kind]
 		if byName == nil {
 			byName = map[string]*agg{}
-			perKind[e.Kind] = byName
+			s.perKind[e.Kind] = byName
 		}
 		name := e.Name
 		if name == "" {
@@ -197,32 +206,28 @@ func summariseJSONL(input []byte) {
 		}
 		a.count++
 		a.cycles += e.Cycles
-		if e.Kind == "smc" || e.Kind == "svc" {
-			// Err 0 is KOM_ERR_SUCCESS; 4 (KOM_ERR_INTERRUPTED) is a
-			// normal suspend, not a failure.
-			if e.Err != 0 && e.Err != 4 {
-				a.errors++
-			}
+		if (e.Kind == "smc" || e.Kind == "svc") && telemetry.IsError(e.Err) {
+			a.errors++
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "komodo-stats:", err)
-		os.Exit(1)
-	}
+	return s, sc.Err()
+}
 
-	fmt.Printf("%d events (seq %d..%d)", total, firstSeq, lastSeq)
-	if badLines > 0 {
-		fmt.Printf(", %d unparseable lines skipped", badLines)
+// print renders the summary.
+func (s summary) print() {
+	fmt.Printf("%d events (seq %d..%d)", s.total, s.firstSeq, s.lastSeq)
+	if s.badLines > 0 {
+		fmt.Printf(", %d unparseable lines skipped", s.badLines)
 	}
 	fmt.Println()
 
-	kinds := make([]string, 0, len(perKind))
-	for k := range perKind {
+	kinds := make([]string, 0, len(s.perKind))
+	for k := range s.perKind {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
 	for _, kind := range kinds {
-		byName := perKind[kind]
+		byName := s.perKind[kind]
 		names := make([]string, 0, len(byName))
 		for n := range byName {
 			names = append(names, n)

@@ -58,7 +58,7 @@ type Gateway struct {
 	cfg      Config
 	backends []*backend
 	ring     *Ring
-	mux      *http.ServeMux
+	edge     *obs.Edge
 	client   *http.Client
 	slots    chan struct{}
 	draining atomic.Bool
@@ -85,9 +85,6 @@ type Gateway struct {
 	drainRej    atomic.Uint64 // gateway-originated 503: gateway draining
 	badGateway  atomic.Uint64 // gateway-originated 502: backend died mid-request
 	probesTotal atomic.Uint64 // health probes completed, summed over all backends
-
-	lat    *obs.LatencyVec     // gateway-edge latency per (endpoint, outcome)
-	flight *obs.FlightRecorder // slowest gateway traces
 }
 
 // New builds the gateway. It does not block on backend availability:
@@ -117,13 +114,11 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:       cfg,
-		mux:       http.NewServeMux(),
+		edge:      obs.NewEdge(cfg.FlightRecorderSize, nil),
 		slots:     make(chan struct{}, cfg.MaxInFlight),
 		stop:      make(chan struct{}),
 		forward:   map[int]int{},
 		migrating: map[int]bool{},
-		lat:       obs.NewLatencyVec(),
-		flight:    obs.NewFlightRecorder(cfg.FlightRecorderSize),
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: cfg.MaxInFlight,
 			IdleConnTimeout:     90 * time.Second,
@@ -134,18 +129,21 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.ring = NewRing(len(g.backends), cfg.VNodes)
 
-	g.mux.HandleFunc("/v1/notary/sign", g.traced("/v1/notary/sign", g.handleNotarySign))
-	g.mux.HandleFunc("/v1/attest", g.traced("/v1/attest", g.handleStateless))
-	g.mux.HandleFunc("/v1/quotekey", g.traced("/v1/quotekey", g.handleStateless))
-	g.mux.HandleFunc("/v1/checkpoint", g.traced("/v1/checkpoint", g.handleAdminProxy))
-	g.mux.HandleFunc("/v1/restore", g.traced("/v1/restore", g.handleAdminProxy))
-	g.mux.HandleFunc("/v1/healthz", g.traced("/v1/healthz", g.handleHealthz))
-	g.mux.HandleFunc("/v1/stats", g.traced("/v1/stats", g.handleStats))
-	g.mux.HandleFunc("/v1/admin/migrate", g.traced("/v1/admin/migrate", g.handleMigrate))
-	g.mux.HandleFunc("/v1/admin/reinstate", g.traced("/v1/admin/reinstate", g.handleReinstate))
-	g.mux.HandleFunc("/v1/admin/backends", g.traced("/v1/admin/backends", g.handleBackends))
-	g.mux.HandleFunc("/v1/debug/traces", g.handleDebugTraces)
-	g.mux.HandleFunc("/metrics", g.handleMetrics)
+	// Traced routes run the backends' tracing pipeline at the gateway edge.
+	// The same trace id then propagates to the chosen backend, so one
+	// distributed timeline spans edge → gateway → backend → monitor cycles.
+	e := g.edge
+	e.Traced("/v1/notary/sign", g.handleNotarySign)
+	e.Traced("/v1/attest", g.handleStateless)
+	e.Traced("/v1/quotekey", g.handleStateless)
+	e.Traced("/v1/checkpoint", g.handleAdminProxy)
+	e.Traced("/v1/restore", g.handleAdminProxy)
+	e.Traced("/v1/healthz", g.handleHealthz)
+	e.Traced("/v1/stats", g.handleStats)
+	e.Traced("/v1/admin/migrate", g.handleMigrate)
+	e.Traced("/v1/admin/reinstate", g.handleReinstate)
+	e.Traced("/v1/admin/backends", g.handleBackends)
+	e.HandleFunc("/metrics", g.handleMetrics)
 
 	if !cfg.DisableProbes {
 		for _, b := range g.backends {
@@ -155,7 +153,7 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
+func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.edge.ServeHTTP(w, r) }
 
 // Close stops the probe loops. Idempotent.
 func (g *Gateway) Close() { g.stopOnce.Do(func() { close(g.stop) }) }
@@ -164,8 +162,9 @@ func (g *Gateway) Close() { g.stopOnce.Do(func() { close(g.stop) }) }
 // and proxied endpoints refuse new work with a retryable 503.
 func (g *Gateway) Drain() { g.draining.Store(true) }
 
-// FlightRecorder exposes the slow-trace recorder (for SIGQUIT dumps).
-func (g *Gateway) FlightRecorder() *obs.FlightRecorder { return g.flight }
+// Edge returns the gateway's request plane: its routes, latency
+// histograms, flight recorder and listen/drain lifecycle.
+func (g *Gateway) Edge() *obs.Edge { return g.edge }
 
 // Backend returns the index of the named backend, or -1.
 func (g *Gateway) Backend(name string) int {
@@ -177,89 +176,15 @@ func (g *Gateway) Backend(name string) int {
 	return -1
 }
 
-// traced mirrors the backend servers' tracing pipeline at the gateway
-// edge: adopt or mint the W3C trace, echo the outbound header, record
-// edge latency per (endpoint, outcome) and offer the finished trace to
-// the flight recorder. The same trace id then propagates to the chosen
-// backend, so one distributed timeline spans edge → gateway → backend →
-// monitor cycles.
-func (g *Gateway) traced(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tr := obs.NewTrace(endpoint, r.Header.Get("traceparent"))
-		w.Header().Set("Traceparent", tr.Traceparent())
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r.WithContext(obs.WithTrace(r.Context(), tr)))
-		td := tr.Finish(outcomeFor(sw.status))
-		g.lat.Observe(endpoint, td.Outcome, time.Duration(td.DurNS))
-		g.flight.Record(td)
-	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func outcomeFor(status int) string {
-	switch {
-	case status == 0 || (status >= 200 && status < 300):
-		return "ok"
-	case status == http.StatusTooManyRequests:
-		return "rejected"
-	case status == http.StatusServiceUnavailable:
-		return "unavailable"
-	case status == http.StatusBadGateway:
-		return "bad_gateway"
-	case status >= 400 && status < 500:
-		return "bad_request"
-	default:
-		return "error"
-	}
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func (g *Gateway) reply(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-// replyErr answers a gateway-originated error. Every retryable rejection
-// the gateway itself mints (429 shed, 503 no-backend/migrating/draining,
-// 502 backend-died) carries Retry-After, mirroring the backends' own
-// backpressure contract, so clients never have to guess whether a
-// gateway rejection is worth retrying.
-func (g *Gateway) replyErr(w http.ResponseWriter, status int, retryAfter string, format string, args ...any) {
-	if retryAfter != "" && w.Header().Get("Retry-After") == "" {
-		w.Header().Set("Retry-After", retryAfter)
-	}
-	g.reply(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
 // admit takes a gateway in-flight slot, or sheds the request. The
 // returned release func is nil when admission failed (the response has
-// already been written).
+// already been written). Like every retryable rejection the gateway
+// mints (429, 503, 502), it passes obs.ReplyErr a Retry-After, mirroring
+// the backends' own backpressure contract.
 func (g *Gateway) admit(w http.ResponseWriter) func() {
 	if g.draining.Load() {
 		g.drainRej.Add(1)
-		g.replyErr(w, http.StatusServiceUnavailable, "5", "gateway draining")
+		obs.ReplyErr(w, http.StatusServiceUnavailable, "5", "gateway draining")
 		return nil
 	}
 	select {
@@ -267,7 +192,7 @@ func (g *Gateway) admit(w http.ResponseWriter) func() {
 		return func() { <-g.slots }
 	default:
 		g.shed429.Add(1)
-		g.replyErr(w, http.StatusTooManyRequests, "1", "gateway saturated (in-flight limit %d)", g.cfg.MaxInFlight)
+		obs.ReplyErr(w, http.StatusTooManyRequests, "1", "gateway saturated (in-flight limit %d)", g.cfg.MaxInFlight)
 		return nil
 	}
 }
@@ -352,11 +277,6 @@ func (g *Gateway) nextUp() *backend {
 	return nil
 }
 
-// maxProxyBody bounds a buffered request body: the largest legitimate
-// body is a /v1/restore checkpoint (server.MaxDocBytes documents are far
-// smaller), so reuse the server's own checkpoint bound.
-const maxProxyBody = int64(32 << 20)
-
 // isDialError reports whether err is a transport failure that happened
 // before the request could have reached a handler (connection refused,
 // no route, DNS) — the only failures where retrying a non-idempotent
@@ -378,8 +298,8 @@ var (
 )
 
 // forwardTo proxies one buffered request to a backend, streaming the
-// response back. It returns the upstream status (0 with err != nil when
-// the transport failed). The caller must have taken an in-flight
+// response back. It returns an error only when the transport failed, and
+// then has written nothing to w. The caller must have taken an in-flight
 // reservation on b (routeShard/nextUp do it inside their routing
 // critical section; handleAdminProxy does it explicitly) — forwardTo
 // owns the matching decrement. Response headers relevant to the client
@@ -388,7 +308,7 @@ var (
 // the gateway — and X-Komodo-Backend names the node that really served
 // the request, which is what per-backend client-side attribution keys
 // on.
-func (g *Gateway) forwardTo(w http.ResponseWriter, r *http.Request, b *backend, body []byte) (int, error) {
+func (g *Gateway) forwardTo(w http.ResponseWriter, r *http.Request, b *backend, body []byte) error {
 	tr := obs.FromContext(r.Context())
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
@@ -397,9 +317,9 @@ func (g *Gateway) forwardTo(w http.ResponseWriter, r *http.Request, b *backend, 
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, b.url+r.URL.Path+queryOf(r), rd)
+	req, err := http.NewRequestWithContext(ctx, r.Method, b.url+r.URL.RequestURI(), rd)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
@@ -424,7 +344,7 @@ func (g *Gateway) forwardTo(w http.ResponseWriter, r *http.Request, b *backend, 
 	if err != nil {
 		b.observe(0, time.Since(start), true)
 		sp.EndDetail(fmt.Sprintf("backend=%s error", b.name))
-		return 0, err
+		return err
 	}
 	defer resp.Body.Close()
 
@@ -444,22 +364,12 @@ func (g *Gateway) forwardTo(w http.ResponseWriter, r *http.Request, b *backend, 
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, cpErr := io.Copy(w, resp.Body)
+	// A copy error leaves the client a truncated body; nothing more to do.
+	io.Copy(w, resp.Body)
 	b.observe(resp.StatusCode, time.Since(start), false)
 	sp.EndDetail(fmt.Sprintf("backend=%s status=%d", b.name, resp.StatusCode))
 	g.proxied.Add(1)
-	if cpErr != nil {
-		// The client saw a truncated body; nothing more we can do.
-		return resp.StatusCode, nil
-	}
-	return resp.StatusCode, nil
-}
-
-func queryOf(r *http.Request) string {
-	if r.URL.RawQuery == "" {
-		return ""
-	}
-	return "?" + r.URL.RawQuery
+	return nil
 }
 
 // handleNotarySign routes by counter shard: the shard key comes from the
@@ -479,13 +389,13 @@ func (g *Gateway) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 	if key == "" {
 		key = r.Header.Get("X-Komodo-Shard")
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, server.MaxCheckpointBytes+1))
 	if err != nil {
-		g.replyErr(w, http.StatusBadRequest, "", "reading body: %v", err)
+		obs.ReplyErr(w, http.StatusBadRequest, "", "reading body: %v", err)
 		return
 	}
-	if int64(len(body)) > maxProxyBody {
-		g.replyErr(w, http.StatusRequestEntityTooLarge, "", "body larger than %d bytes", maxProxyBody)
+	if int64(len(body)) > server.MaxCheckpointBytes {
+		obs.ReplyErr(w, http.StatusRequestEntityTooLarge, "", "body larger than %d bytes", server.MaxCheckpointBytes)
 		return
 	}
 
@@ -496,20 +406,20 @@ func (g *Gateway) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 		b, held, skipped := g.routeShard(key)
 		if held {
 			g.holds.Add(1)
-			g.replyErr(w, http.StatusServiceUnavailable, "1", "shard %q migrating; retry shortly", key)
+			obs.ReplyErr(w, http.StatusServiceUnavailable, "1", "shard %q migrating; retry shortly", key)
 			return
 		}
 		if b == nil {
 			g.noBackend.Add(1)
-			g.replyErr(w, http.StatusServiceUnavailable, "2", "no live backend for shard %q", key)
+			obs.ReplyErr(w, http.StatusServiceUnavailable, "2", "no live backend for shard %q", key)
 			return
 		}
-		if _, err := g.forwardTo(w, r, b, body); err != nil {
+		if err := g.forwardTo(w, r, b, body); err != nil {
 			if isDialError(err) {
 				continue // backend demoted by observe(); re-route
 			}
 			g.badGateway.Add(1)
-			g.replyErr(w, http.StatusBadGateway, "1", "backend %s: %v", b.name, err)
+			obs.ReplyErr(w, http.StatusBadGateway, "1", "backend %s: %v", b.name, err)
 			return
 		}
 		// Count the failover once per served request, not once per dial
@@ -520,7 +430,7 @@ func (g *Gateway) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.noBackend.Add(1)
-	g.replyErr(w, http.StatusServiceUnavailable, "2", "no live backend for shard %q", key)
+	obs.ReplyErr(w, http.StatusServiceUnavailable, "2", "no live backend for shard %q", key)
 }
 
 // handleStateless proxies endpoints with no shard affinity (/v1/attest,
@@ -538,21 +448,21 @@ func (g *Gateway) handleStateless(w http.ResponseWriter, r *http.Request) {
 		b := g.nextUp()
 		if b == nil {
 			g.noBackend.Add(1)
-			g.replyErr(w, http.StatusServiceUnavailable, "2", "no live backend")
+			obs.ReplyErr(w, http.StatusServiceUnavailable, "2", "no live backend")
 			return
 		}
-		if _, err := g.forwardTo(w, r, b, nil); err != nil {
+		if err := g.forwardTo(w, r, b, nil); err != nil {
 			if isDialError(err) {
 				continue
 			}
 			g.badGateway.Add(1)
-			g.replyErr(w, http.StatusBadGateway, "1", "backend %s: %v", b.name, err)
+			obs.ReplyErr(w, http.StatusBadGateway, "1", "backend %s: %v", b.name, err)
 			return
 		}
 		return
 	}
 	g.noBackend.Add(1)
-	g.replyErr(w, http.StatusServiceUnavailable, "2", "no live backend")
+	obs.ReplyErr(w, http.StatusServiceUnavailable, "2", "no live backend")
 }
 
 // handleAdminProxy proxies the state-management plane (/v1/checkpoint,
@@ -571,28 +481,28 @@ func (g *Gateway) handleAdminProxy(w http.ResponseWriter, r *http.Request) {
 
 	name := r.URL.Query().Get("backend")
 	if name == "" {
-		g.replyErr(w, http.StatusBadRequest, "", "missing backend parameter (explicit node required for state operations)")
+		obs.ReplyErr(w, http.StatusBadRequest, "", "missing backend parameter (explicit node required for state operations)")
 		return
 	}
 	idx := g.Backend(name)
 	if idx < 0 {
-		g.replyErr(w, http.StatusNotFound, "", "unknown backend %q", name)
+		obs.ReplyErr(w, http.StatusNotFound, "", "unknown backend %q", name)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, server.MaxCheckpointBytes+1))
 	if err != nil {
-		g.replyErr(w, http.StatusBadRequest, "", "reading body: %v", err)
+		obs.ReplyErr(w, http.StatusBadRequest, "", "reading body: %v", err)
 		return
 	}
-	if int64(len(body)) > maxProxyBody {
-		g.replyErr(w, http.StatusRequestEntityTooLarge, "", "body larger than %d bytes", maxProxyBody)
+	if int64(len(body)) > server.MaxCheckpointBytes {
+		obs.ReplyErr(w, http.StatusRequestEntityTooLarge, "", "body larger than %d bytes", server.MaxCheckpointBytes)
 		return
 	}
 	b := g.backends[idx]
 	b.inflight.Add(1) // explicit targeting bypasses routing; forwardTo decrements
-	if _, err := g.forwardTo(w, r, b, body); err != nil {
+	if err := g.forwardTo(w, r, b, body); err != nil {
 		g.badGateway.Add(1)
-		g.replyErr(w, http.StatusBadGateway, "1", "backend %s: %v", name, err)
+		obs.ReplyErr(w, http.StatusBadGateway, "1", "backend %s: %v", name, err)
 	}
 }
 
@@ -625,7 +535,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if status != http.StatusOK {
 		w.Header().Set("Retry-After", "2")
 	}
-	g.reply(w, status, body)
+	obs.Reply(w, status, body)
 }
 
 // GatewayStats is the gateway-local counter block of FleetStats. Its prom
@@ -774,7 +684,7 @@ func (g *Gateway) fetchStats(b *backend) (*server.StatsResponse, error) {
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	g.reply(w, http.StatusOK, g.Stats())
+	obs.Reply(w, http.StatusOK, g.Stats())
 }
 
 // BackendsResponse is the /v1/admin/backends body: probe/ring state at a
@@ -786,32 +696,10 @@ type BackendsResponse struct {
 
 func (g *Gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 	var out BackendsResponse
-	for i, b := range g.backends {
-		st := b.status()
-		g.mu.RLock()
-		if to, ok := g.forward[i]; ok {
-			st.ForwardedTo = g.backends[to].name
-		}
-		g.mu.RUnlock()
-		out.Backends = append(out.Backends, st)
-	}
+	_, out.Backends = g.edgeStats()
 	out.Spread = map[string]int{}
 	for i, n := range g.ring.Spread(1024) {
 		out.Spread[g.backends[g.resolve(i)].name] += n
 	}
-	g.reply(w, http.StatusOK, out)
-}
-
-func (g *Gateway) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	if id := r.URL.Query().Get("id"); id != "" {
-		td, ok := g.flight.Find(id)
-		if !ok {
-			g.replyErr(w, http.StatusNotFound, "", "trace %s not retained", id)
-			return
-		}
-		g.reply(w, http.StatusOK, td)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	g.flight.WriteJSON(w)
+	obs.Reply(w, http.StatusOK, out)
 }

@@ -31,13 +31,13 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		obs.Sample{Value: float64(g.cfg.MaxInFlight)})
 	p.Gauge("komodo_gateway_draining",
 		"1 while the gateway is draining, else 0.",
-		obs.Sample{Value: b2f(g.draining.Load())})
+		obs.Sample{Value: obs.Flag(g.draining.Load())})
 
 	up := make([]obs.Sample, len(backends))
 	lat := make([]obs.HistSeries, len(backends))
 	for i, b := range backends {
 		l := obs.L("backend", b.Name)
-		up[i] = obs.Sample{Labels: l, Value: b2f(b.State == StateUp.String())}
+		up[i] = obs.Sample{Labels: l, Value: obs.Flag(b.State == StateUp.String())}
 		lat[i] = obs.HistSeries{Labels: l, Snap: g.backends[i].lat.Snapshot()}
 	}
 	p.Gauge("komodo_gateway_backend_up",
@@ -45,29 +45,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Histogram("komodo_gateway_backend_duration_seconds",
 		"Proxied request latency per backend (gateway-measured).", lat...)
 
-	var edgeLat []obs.HistSeries
-	g.lat.Each(func(endpoint, outcome string, h *obs.Histogram) {
-		edgeLat = append(edgeLat, obs.HistSeries{
-			Labels: obs.L("endpoint", endpoint, "outcome", outcome),
-			Snap:   h.Snapshot(),
-		})
-	})
-	p.Histogram("komodo_gateway_request_duration_seconds",
-		"Gateway-edge request latency by endpoint and outcome.", edgeLat...)
-
-	p.Counter("komodo_flight_traces_seen_total",
-		"Finished traces offered to the gateway flight recorder.",
-		obs.Sample{Value: float64(g.flight.Seen())})
-	p.Gauge("komodo_flight_traces_retained",
-		"Slow traces currently retained for /v1/debug/traces.",
-		obs.Sample{Value: float64(g.flight.Len())})
+	g.edge.WriteMetrics(p, "komodo_gateway_request_duration_seconds",
+		"Gateway-edge request latency by endpoint and outcome.")
 
 	obs.WriteRuntimeMetrics(p)
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

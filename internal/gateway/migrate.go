@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -180,7 +181,7 @@ func (g *Gateway) adminPost(ctx context.Context, b *backend, path string, body [
 		return 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, server.MaxCheckpointBytes))
 	if err != nil {
 		return resp.StatusCode, err
 	}
@@ -199,38 +200,38 @@ func (g *Gateway) adminPost(ctx context.Context, b *backend, path string, body [
 // POST /v1/admin/migrate?from=NAME&to=NAME[&drain=1].
 func (g *Gateway) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		g.replyErr(w, http.StatusMethodNotAllowed, "", "POST with from= and to=")
+		obs.ReplyErr(w, http.StatusMethodNotAllowed, "", "POST with from= and to=")
 		return
 	}
 	from := g.Backend(r.URL.Query().Get("from"))
 	to := g.Backend(r.URL.Query().Get("to"))
 	if from < 0 || to < 0 {
-		g.replyErr(w, http.StatusBadRequest, "", "from= and to= must name configured backends")
+		obs.ReplyErr(w, http.StatusBadRequest, "", "from= and to= must name configured backends")
 		return
 	}
 	drain := r.URL.Query().Get("drain") == "1" || r.URL.Query().Get("drain") == "true"
 	rep, err := g.Migrate(r.Context(), from, to, drain)
 	if err != nil {
-		g.replyErr(w, http.StatusConflict, "", "%v", err)
+		obs.ReplyErr(w, http.StatusConflict, "", "%v", err)
 		return
 	}
-	g.reply(w, http.StatusOK, rep)
+	obs.Reply(w, http.StatusOK, rep)
 }
 
 // handleReinstate is POST /v1/admin/reinstate?backend=NAME.
 func (g *Gateway) handleReinstate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		g.replyErr(w, http.StatusMethodNotAllowed, "", "POST with backend=")
+		obs.ReplyErr(w, http.StatusMethodNotAllowed, "", "POST with backend=")
 		return
 	}
 	idx := g.Backend(r.URL.Query().Get("backend"))
 	if idx < 0 {
-		g.replyErr(w, http.StatusBadRequest, "", "backend= must name a configured backend")
+		obs.ReplyErr(w, http.StatusBadRequest, "", "backend= must name a configured backend")
 		return
 	}
 	if err := g.Reinstate(idx); err != nil {
-		g.replyErr(w, http.StatusConflict, "", "%v", err)
+		obs.ReplyErr(w, http.StatusConflict, "", "%v", err)
 		return
 	}
-	g.reply(w, http.StatusOK, map[string]string{"status": "reinstated", "backend": r.URL.Query().Get("backend")})
+	obs.Reply(w, http.StatusOK, map[string]string{"status": "reinstated", "backend": r.URL.Query().Get("backend")})
 }

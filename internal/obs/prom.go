@@ -85,6 +85,14 @@ func (p *PromWriter) sample(name, suffix string, labels Labels, value float64) {
 	p.printf("%s%s{%s} %s\n", name, suffix, sb.String(), formatValue(value))
 }
 
+// Flag is a boolean as a gauge value: 1 for true, 0 for false.
+func Flag(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Sample is one labelled value of a counter or gauge family.
 type Sample struct {
 	Labels Labels

@@ -2,8 +2,9 @@
 // stack: distributed-trace propagation (W3C traceparent), per-request span
 // timelines that link wall-clock time at the HTTP edge to simulated cycles
 // inside the monitor, lock-free latency histograms with quantile export,
-// a Prometheus text-exposition writer, and a flight recorder that retains
-// the slowest request traces for post-hoc debugging.
+// a Prometheus text-exposition writer, a flight recorder that retains
+// the slowest request traces for post-hoc debugging, and the HTTP edge
+// (Edge) that komodo-serve and komodo-gateway both serve through.
 //
 // The package deliberately has no dependencies on the rest of the
 // repository (or on anything outside the standard library), so every layer

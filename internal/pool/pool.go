@@ -261,9 +261,10 @@ func (p *Pool) Put(w *Worker, outcome Outcome) {
 // observability trace (internal/obs), the re-provision phase is recorded
 // as a "restore" span whose detail names the action actually taken —
 // "golden" (snapshot rewind), "keep" (state preserved, no rewind) or
-// "boot" (full re-boot, from Fail or the reuse limit). Re-provisioning
-// happens synchronously in the caller, so the span measures cost the
-// releasing request really paid.
+// "boot" (full re-boot, from Fail, the reuse limit, or a rewind whose
+// restore or health check failed). Re-provisioning happens synchronously
+// in the caller, so the span measures cost the releasing request really
+// paid.
 func (p *Pool) Release(ctx context.Context, w *Worker, outcome Outcome) {
 	p.mu.Lock()
 	p.inFlight--
@@ -288,8 +289,7 @@ func (p *Pool) Release(ctx context.Context, w *Worker, outcome Outcome) {
 		p.free <- w
 		sp.EndDetail("keep")
 	default:
-		p.restore(w)
-		sp.EndDetail("golden")
+		sp.EndDetail(p.restore(w))
 	}
 }
 
@@ -300,8 +300,9 @@ func (p *Pool) count(f func(*Stats)) {
 }
 
 // restore rewinds the worker to its golden snapshot and health-checks it;
-// on any failure it falls back to a full re-boot.
-func (p *Pool) restore(w *Worker) {
+// on any failure it falls back to a full re-boot. It returns the path it
+// took, "golden" or "boot", for Release's span detail.
+func (p *Pool) restore(w *Worker) string {
 	start := time.Now()
 	phys := w.sys.Machine().Phys
 	before := phys.RestoreStats()
@@ -321,14 +322,15 @@ func (p *Pool) restore(w *Worker) {
 			if herr := p.cfg.HealthCheck(w.sys, w.state); herr != nil {
 				p.count(func(s *Stats) { s.HealthFails++; s.Retires++ })
 				p.reboot(w)
-				return
+				return "boot"
 			}
 		}
 		p.free <- w
-		return
+		return "golden"
 	}
 	p.count(func(s *Stats) { s.Retires++ })
 	p.reboot(w)
+	return "boot"
 }
 
 // reboot fully re-boots the worker slot. If every retry fails the slot is

@@ -147,21 +147,25 @@ func TestMaxReuseTriggersReboot(t *testing.T) {
 // TestReleaseRestoreSpan pins, for each release path, the detail of
 // Release's "restore" span and the stats delta it leaves behind.
 func TestReleaseRestoreSpan(t *testing.T) {
+	sick := func(*komodo.System, any) error { return errors.New("synthetic failure") }
 	for _, tc := range []struct {
-		name     string
-		maxReuse int
-		outcome  Outcome
-		detail   string
-		restores uint64 // Stats.Restores delta
-		retires  uint64 // Stats.Retires delta (each retire is one re-boot)
+		name        string
+		maxReuse    int
+		health      func(*komodo.System, any) error
+		outcome     Outcome
+		detail      string
+		restores    uint64 // Stats.Restores delta
+		healthFails uint64 // Stats.HealthFails delta
+		retires     uint64 // Stats.Retires delta (each retire is one re-boot)
 	}{
-		{"ok", 0, OK, "golden", 1, 0},
-		{"keep", 0, Keep, "keep", 0, 0},
-		{"fail", 0, Fail, "boot", 0, 1},
-		{"reuse-limit", 1, OK, "boot", 0, 1},
+		{"ok", 0, nil, OK, "golden", 1, 0, 0},
+		{"keep", 0, nil, Keep, "keep", 0, 0, 0},
+		{"fail", 0, nil, Fail, "boot", 0, 0, 1},
+		{"reuse-limit", 1, nil, OK, "boot", 0, 0, 1},
+		{"health-fail", 0, sick, OK, "boot", 1, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := mustPool(t, Config{Size: 1, MaxReuse: tc.maxReuse})
+			p := mustPool(t, Config{Size: 1, MaxReuse: tc.maxReuse, HealthCheck: tc.health})
 			w := get(t, p)
 			notarise(t, w)
 			before := p.Stats()
@@ -180,6 +184,9 @@ func TestReleaseRestoreSpan(t *testing.T) {
 			}
 			if d := after.Restores - before.Restores; d != tc.restores {
 				t.Fatalf("restores +%d, want +%d", d, tc.restores)
+			}
+			if d := after.HealthFails - before.HealthFails; d != tc.healthFails {
+				t.Fatalf("health fails +%d, want +%d", d, tc.healthFails)
 			}
 			if d := after.Retires - before.Retires; d != tc.retires {
 				t.Fatalf("retires +%d, want +%d", d, tc.retires)

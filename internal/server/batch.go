@@ -91,18 +91,12 @@ func (s *Server) withTenant(h http.HandlerFunc) http.HandlerFunc {
 				retry = 1
 			}
 			w.Header().Set(RejectHeader, d.Reason)
-			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			s.reply(w, d.Status, errorBody{Error: "admission: " + d.Reason})
+			obs.ReplyErr(w, d.Status, strconv.Itoa(retry), "admission: %s", d.Reason)
 			return
 		}
 		start := time.Now()
-		sw, _ := w.(*statusWriter)
 		h(w, r.WithContext(context.WithValue(r.Context(), tenantKey{}, d)))
-		outcome := "ok"
-		if sw != nil {
-			outcome = outcomeFor(sw.status)
-		}
-		s.tierLat.Observe(d.Tier, outcome, time.Since(start))
+		s.tierLat.Observe(d.Tier, obs.OutcomeOf(w), time.Since(start))
 	}
 }
 
@@ -251,7 +245,7 @@ func (s *Server) handleBatchSign(w http.ResponseWriter, r *http.Request, doc []b
 	if rec.Coalesced > 1 {
 		coalesced = rec.Coalesced
 	}
-	s.reply(w, http.StatusOK, NotaryResponse{
+	obs.Reply(w, http.StatusOK, NotaryResponse{
 		Counter:  rec.Counter,
 		Digest:   EncodeWords(rec.Digest),
 		MAC:      EncodeWords(rec.MAC),

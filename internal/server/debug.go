@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/replay"
 )
 
@@ -61,7 +62,7 @@ func (s *Server) handleDebugFreeze(w http.ResponseWriter, r *http.Request) {
 			s.replyErr(w, http.StatusConflict, "%v", err)
 			return
 		}
-		s.reply(w, http.StatusOK, FreezeResponse{Worker: id, Frozen: false})
+		obs.Reply(w, http.StatusOK, FreezeResponse{Worker: id, Frozen: false})
 		return
 	}
 	timeout := time.Second
@@ -77,7 +78,7 @@ func (s *Server) handleDebugFreeze(w http.ResponseWriter, r *http.Request) {
 		s.replyErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.reply(w, http.StatusOK, FreezeResponse{
+	obs.Reply(w, http.StatusOK, FreezeResponse{
 		Worker: id, Frozen: true,
 		PC: fmt.Sprintf("%#08x", pc), Insn: insn.Disasm(), Why: why,
 	})
@@ -148,5 +149,5 @@ func (s *Server) handleDebugReplay(w http.ResponseWriter, r *http.Request) {
 	for _, d := range res.Divergence {
 		out.Divergences = append(out.Divergences, d.String())
 	}
-	s.reply(w, http.StatusOK, out)
+	obs.Reply(w, http.StatusOK, out)
 }

@@ -359,7 +359,7 @@ func TestTracingUnderConcurrentLoad(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Fatal("no request succeeded under load")
 	}
-	if got := srv.FlightRecorder().Seen(); got < uint64(workers*perWorker) {
+	if got := srv.Edge().Flight().Seen(); got < uint64(workers*perWorker) {
 		t.Fatalf("flight recorder saw %d of %d traces", got, workers*perWorker)
 	}
 	var dump obs.Dump

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,9 +20,11 @@ import (
 	"repro/komodo"
 )
 
-// maxCheckpointBytes bounds a POSTed /v1/restore body. A checkpoint is
+// MaxCheckpointBytes bounds a POSTed /v1/restore body. A checkpoint is
 // at most a few MiB of base64-wrapped sealed words; 32 MiB is generous.
-const maxCheckpointBytes = int64(32 << 20)
+// It is the largest body any endpoint takes, so the gateway buffers
+// proxied bodies under the same bound.
+const MaxCheckpointBytes = int64(32 << 20)
 
 // Config configures New.
 type Config struct {
@@ -94,7 +95,7 @@ type Config struct {
 // Server is the HTTP front end. It implements http.Handler.
 type Server struct {
 	cfg      Config
-	mux      *http.ServeMux
+	edge     *obs.Edge
 	slots    chan struct{}
 	draining atomic.Bool
 
@@ -109,9 +110,7 @@ type Server struct {
 	quoteKey atomic.Pointer[[8]uint32]
 
 	agg     *batch.Aggregator // batched sign path (nil unless BatchMaxSize > 0)
-	lat     *obs.LatencyVec   // wall-clock latency per (endpoint, outcome)
 	tierLat *obs.LatencyVec   // wall-clock latency per (tier, outcome)
-	flight  *obs.FlightRecorder
 
 	// Record/replay state (RecordDir mode): finished-but-unpersisted
 	// traces keyed by trace id, and one memory-export baseline per worker
@@ -133,12 +132,10 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
-		mux:     http.NewServeMux(),
 		slots:   make(chan struct{}, cfg.QueueDepth),
-		lat:     obs.NewLatencyVec(),
 		tierLat: obs.NewLatencyVec(),
-		flight:  obs.NewFlightRecorder(cfg.FlightRecorderSize),
 	}
+	s.edge = obs.NewEdge(cfg.FlightRecorderSize, s.persistRecording)
 	if cfg.BatchMaxSize > 0 {
 		s.agg = batch.New(batch.Config{
 			MaxBatch:    cfg.BatchMaxSize,
@@ -150,81 +147,27 @@ func New(cfg Config) *Server {
 			Sign:        s.signBatchRoot,
 		})
 	}
-	s.mux.HandleFunc("/v1/attest", s.traced("/v1/attest", s.withTenant(s.handleAttest)))
-	s.mux.HandleFunc("/v1/notary/sign", s.traced("/v1/notary/sign", s.withTenant(s.handleNotarySign)))
-	s.mux.HandleFunc("/v1/healthz", s.traced("/v1/healthz", s.handleHealthz))
-	s.mux.HandleFunc("/v1/stats", s.traced("/v1/stats", s.handleStats))
-	s.mux.HandleFunc("/v1/quotekey", s.traced("/v1/quotekey", s.handleQuoteKey))
-	s.mux.HandleFunc("/v1/checkpoint", s.traced("/v1/checkpoint", s.handleCheckpoint))
-	s.mux.HandleFunc("/v1/restore", s.traced("/v1/restore", s.handleRestore))
-	s.mux.HandleFunc("/v1/drain", s.traced("/v1/drain", s.handleDrain))
-	s.mux.HandleFunc("/v1/debug/traces", s.handleDebugTraces)
-	s.mux.HandleFunc("/v1/debug/freeze", s.handleDebugFreeze)
-	s.mux.HandleFunc("/v1/debug/mon", s.handleDebugMon)
-	s.mux.HandleFunc("/v1/debug/replay", s.handleDebugReplay)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	e := s.edge
+	e.Traced("/v1/attest", s.withTenant(s.handleAttest))
+	e.Traced("/v1/notary/sign", s.withTenant(s.handleNotarySign))
+	e.Traced("/v1/healthz", s.handleHealthz)
+	e.Traced("/v1/stats", s.handleStats)
+	e.Traced("/v1/quotekey", s.handleQuoteKey)
+	e.Traced("/v1/checkpoint", s.handleCheckpoint)
+	e.Traced("/v1/restore", s.handleRestore)
+	e.Traced("/v1/drain", s.handleDrain)
+	e.HandleFunc("/v1/debug/freeze", s.handleDebugFreeze)
+	e.HandleFunc("/v1/debug/mon", s.handleDebugMon)
+	e.HandleFunc("/v1/debug/replay", s.handleDebugReplay)
+	e.HandleFunc("/metrics", s.handleMetrics)
 	return s
 }
 
-// FlightRecorder exposes the slow-request recorder (for SIGQUIT dumps).
-func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.flight }
+// Edge returns the server's request plane: its routes, latency
+// histograms, flight recorder and listen/drain lifecycle.
+func (s *Server) Edge() *obs.Edge { return s.edge }
 
-// statusWriter captures the response status for outcome classification.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// outcomeFor maps an HTTP status onto the outcome label used on latency
-// series and trace records.
-func outcomeFor(status int) string {
-	switch {
-	case status == 0 || status == http.StatusOK:
-		return "ok"
-	case status == http.StatusTooManyRequests:
-		return "rejected"
-	case status == http.StatusServiceUnavailable:
-		return "unavailable"
-	case status >= 400 && status < 500:
-		return "bad_request"
-	default:
-		return "error"
-	}
-}
-
-// traced wraps a handler in the request-tracing pipeline: adopt the
-// inbound W3C traceparent (or mint a fresh trace), thread the trace
-// through the request context, echo the outbound traceparent header,
-// and on completion record the wall-clock latency on the endpoint's
-// histogram and offer the finished trace to the flight recorder.
-func (s *Server) traced(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tr := obs.NewTrace(endpoint, r.Header.Get("traceparent"))
-		w.Header().Set("Traceparent", tr.Traceparent())
-		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r.WithContext(obs.WithTrace(r.Context(), tr)))
-		td := tr.Finish(outcomeFor(sw.status))
-		s.persistRecording(&td)
-		s.lat.Observe(endpoint, td.Outcome, time.Duration(td.DurNS))
-		s.flight.Record(td)
-	}
-}
-
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.edge.ServeHTTP(w, r) }
 
 // Close releases server-owned background machinery: the batch aggregator
 // (if batching is enabled) seals its open batch with reason "drain" and
@@ -255,36 +198,22 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // (in service plus waiting for a worker).
 func (s *Server) QueueLen() int { return len(s.slots) }
 
-// errorBody is every non-200 response.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func (s *Server) reply(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
+// replyErr answers with an error body. Queue saturation (429) and
+// worker-wait timeouts (503) clear quickly: retry in 1s. replyDraining
+// asks for a longer back-off; this instance is going away.
 func (s *Server) replyErr(w http.ResponseWriter, status int, format string, args ...any) {
-	// Backpressure rejections are retryable; tell clients when. Queue
-	// saturation and worker-wait timeouts clear quickly (retry in 1s);
-	// draining means this instance is going away (back off longer, let
-	// the balancer re-route).
+	retry := ""
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		if w.Header().Get("Retry-After") == "" {
-			w.Header().Set("Retry-After", "1")
-		}
+		retry = "1"
 	}
-	s.reply(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+	obs.ReplyErr(w, status, retry, format, args...)
 }
 
 // replyDraining rejects a request because the server is shutting down.
 func (s *Server) replyDraining(w http.ResponseWriter) {
 	s.drainRejects.Add(1)
-	w.Header().Set("Retry-After", "5")
 	w.Header().Set(RejectHeader, RejectDrain)
-	s.reply(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
+	obs.ReplyErr(w, http.StatusServiceUnavailable, "5", "draining")
 }
 
 // withWorker runs fn on a checked-out worker under the server's
@@ -397,19 +326,16 @@ func (s *Server) startRecording(tr *obs.Trace, wk *pool.Worker, endpoint string)
 // written to RecordDir and linked from the retained trace's Replay field.
 // Everything else recorded is discarded here — the record knob keeps the
 // N-slowest policy of the flight recorder.
-func (s *Server) persistRecording(td *obs.TraceData) {
+func (s *Server) persistRecording(td obs.TraceData) obs.TraceData {
 	v, ok := s.recordings.LoadAndDelete(td.TraceID)
-	if !ok {
-		return
-	}
-	if !s.flight.WouldRetain(td.DurNS) {
-		return
+	if !ok || !s.edge.Flight().WouldRetain(td.DurNS) {
+		return td
 	}
 	path := filepath.Join(s.cfg.RecordDir, td.TraceID+".krec")
-	if err := replay.Save(path, v.(*replay.Trace)); err != nil {
-		return
+	if err := replay.Save(path, v.(*replay.Trace)); err == nil {
+		td.Replay = path
 	}
-	td.Replay = path
+	return td
 }
 
 // harvestCycleSpans converts the monitor boundary events recorded for
@@ -476,7 +402,7 @@ func (s *Server) handleAttest(w http.ResponseWriter, r *http.Request) {
 			return pool.Fail, err
 		}
 		s.quoteKey.CompareAndSwap(nil, &st.QuoteKey)
-		s.reply(w, http.StatusOK, AttestResponse{
+		obs.Reply(w, http.StatusOK, AttestResponse{
 			Nonce:       nonce,
 			Data:        EncodeWords(att.Data),
 			Measurement: EncodeWords(att.Measurement),
@@ -548,7 +474,7 @@ func (s *Server) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 		if err := s.maybeCheckpoint(ctx, wk, st, n.Counter); err != nil {
 			return pool.Fail, fmt.Errorf("checkpointing notary: %w", err)
 		}
-		s.reply(w, http.StatusOK, NotaryResponse{
+		obs.Reply(w, http.StatusOK, NotaryResponse{
 			Counter:  n.Counter,
 			Digest:   EncodeWords(n.Digest),
 			MAC:      EncodeWords(n.MAC),
@@ -630,7 +556,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return pool.Fail, err
 		}
-		s.reply(w, http.StatusOK, CheckpointResponse{
+		obs.Reply(w, http.StatusOK, CheckpointResponse{
 			Worker:     wk.ID(),
 			Counter:    counter,
 			BlobWords:  len(ckpt.Blob),
@@ -681,7 +607,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	s.reply(w, http.StatusOK, DrainResponse{Status: status, InFlight: s.cfg.Pool.Stats().InFlight})
+	obs.Reply(w, http.StatusOK, DrainResponse{Status: status, InFlight: s.cfg.Pool.Stats().InFlight})
 }
 
 // handleRestore instantiates a POSTed checkpoint (either form
@@ -694,13 +620,13 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		s.replyErr(w, http.StatusMethodNotAllowed, "POST the checkpoint JSON")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxCheckpointBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxCheckpointBytes+1))
 	if err != nil {
 		s.replyErr(w, http.StatusBadRequest, "reading checkpoint: %v", err)
 		return
 	}
-	if int64(len(body)) > maxCheckpointBytes {
-		s.replyErr(w, http.StatusRequestEntityTooLarge, "checkpoint larger than %d bytes", maxCheckpointBytes)
+	if int64(len(body)) > MaxCheckpointBytes {
+		s.replyErr(w, http.StatusRequestEntityTooLarge, "checkpoint larger than %d bytes", MaxCheckpointBytes)
 		return
 	}
 	ckpt, err := komodo.UnmarshalCheckpoint(body)
@@ -733,7 +659,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		// Make the restored notary part of the worker's golden state so
 		// stateless (OK-release) requests do not rewind it away.
 		wk.Rebase()
-		s.reply(w, http.StatusOK, RestoreResponse{Worker: wk.ID(), Restores: st.Restores, BlobWords: len(ckpt.Blob)})
+		obs.Reply(w, http.StatusOK, RestoreResponse{Worker: wk.ID(), Restores: st.Restores, BlobWords: len(ckpt.Blob)})
 		return pool.Keep, nil
 	})
 }
@@ -758,7 +684,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body.Status = "no live workers"
 		status = http.StatusServiceUnavailable
 	}
-	s.reply(w, status, body)
+	obs.Reply(w, status, body)
 }
 
 // StatsResponse is the /v1/stats body: server counters, pool counters,
@@ -830,7 +756,7 @@ func (st *StatsResponse) Merge(o StatsResponse) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.reply(w, http.StatusOK, s.Stats())
+	obs.Reply(w, http.StatusOK, s.Stats())
 }
 
 // QuoteKeyResponse is the /v1/quotekey body. In a real deployment the
@@ -843,7 +769,7 @@ type QuoteKeyResponse struct {
 
 func (s *Server) handleQuoteKey(w http.ResponseWriter, r *http.Request) {
 	if k := s.quoteKey.Load(); k != nil {
-		s.reply(w, http.StatusOK, QuoteKeyResponse{QuoteKey: EncodeWords(*k)})
+		obs.Reply(w, http.StatusOK, QuoteKeyResponse{QuoteKey: EncodeWords(*k)})
 		return
 	}
 	// No attest has run yet: peek at an idle worker's state.
@@ -863,5 +789,5 @@ func (s *Server) handleQuoteKey(w http.ResponseWriter, r *http.Request) {
 	key := st.QuoteKey
 	s.cfg.Pool.Put(wk, pool.Keep) // nothing ran; no need to re-provision
 	s.quoteKey.CompareAndSwap(nil, &key)
-	s.reply(w, http.StatusOK, QuoteKeyResponse{QuoteKey: EncodeWords(key)})
+	obs.Reply(w, http.StatusOK, QuoteKeyResponse{QuoteKey: EncodeWords(key)})
 }

@@ -270,6 +270,11 @@ func (r *Recorder) emit(e Event) {
 	r.ring.appendNext(&r.seq, e, r.sink)
 }
 
+// IsError reports whether an SMC or SVC return code counts as an error
+// in CallStats.Errors (and so in /v1/stats, /metrics and komodo-stats):
+// any code but kapi.ErrSuccess, KOM_ERR_INTERRUPTED included.
+func IsError(errc uint32) bool { return errc != uint32(kapi.ErrSuccess) }
+
 // ObserveSMC records one completed SMC: counters, histogram, split, and a
 // KindSMC trace event. dispatchCyc is the share of total spent on
 // entry/exit boilerplate rather than the handler body.
@@ -281,7 +286,7 @@ func (r *Recorder) ObserveSMC(call uint32, args [4]uint32, errc, val uint32, tot
 	if idx >= MaxCall {
 		idx = 0
 	}
-	r.smc[idx].observe(total, dispatchCyc, errc != uint32(kapi.ErrSuccess))
+	r.smc[idx].observe(total, dispatchCyc, IsError(errc))
 	r.emit(Event{Kind: KindSMC, Call: call, Args: args, Err: errc, Val: val, Cycles: total})
 }
 
@@ -294,7 +299,7 @@ func (r *Recorder) ObserveSVC(call uint32, errc uint32, cyc uint64) {
 	if idx >= MaxCall {
 		idx = 0
 	}
-	r.svc[idx].observe(cyc, 0, errc != uint32(kapi.ErrSuccess))
+	r.svc[idx].observe(cyc, 0, IsError(errc))
 	r.emit(Event{Kind: KindSVC, Call: call, Err: errc, Cycles: cyc})
 }
 

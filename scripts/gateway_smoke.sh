@@ -56,6 +56,17 @@ wait_file "$tmp/addr_gw" "gateway"
 gw="http://$(cat "$tmp/addr_gw")"
 echo "gateway-smoke: gateway at $gw"
 
+# Phase 0: the gateway's own flight recorder. Nothing else has crossed the
+# gateway yet, so a request sent with a known W3C traceparent must be
+# retained under that trace id: listed by ?min_ms=0 and returned by ?id=.
+tid=4bf92f3577b34da6a3ce929d0e0e4736
+curl -sf -H "traceparent: 00-$tid-00f067aa0ba902b7-01" "$gw/v1/admin/backends" >/dev/null
+for q in "min_ms=0" "id=$tid"; do
+    curl -sf "$gw/v1/debug/traces?$q" | grep -q "\"trace_id\": *\"$tid\"" \
+        || { echo "gateway-smoke: /v1/debug/traces?$q misses trace $tid" >&2; exit 1; }
+done
+echo "gateway-smoke: gateway flight recorder serves trace $tid by ?min_ms= and ?id="
+
 # Phase 1: attestation through the gateway. -verify recomputes the
 # nonce->data derivation and checks every quote against the quote key —
 # itself fetched through the gateway — so this proves the proxy preserves
