@@ -648,7 +648,7 @@ func TestUserStoreToPageTableMarksInconsistent(t *testing.T) {
 		Str(R1, R0, 0).
 		Svc()
 	m, data := buildEnclaveMachine(t, p)
-	m.SetPageTablePages(map[uint32]bool{data: true}) // pretend data page is a PT
+	m.SetPageTablePages([]uint32{data}) // pretend data page is a PT
 	m.TLB.Flush()
 	tr := m.Run(100)
 	if tr.Kind != TrapSVC {

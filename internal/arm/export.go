@@ -109,10 +109,7 @@ func (m *Machine) ImportState(s MachineState) error {
 	m.fiqPending = s.FIQPending
 	m.retired = s.Retired
 	m.insnClass = s.InsnClass
-	m.ptPages = make(map[uint32]bool, len(s.PTPages))
-	for _, pg := range s.PTPages {
-		m.ptPages[pg] = true
-	}
+	m.SetPageTablePages(s.PTPages)
 	m.RNG.SetState(s.RNG)
 	m.Cyc.Reset()
 	m.Cyc.Charge(s.Cycles)

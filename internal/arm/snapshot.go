@@ -123,7 +123,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.fiqPending = s.fiqPending
 	m.retired = s.retired
 	m.insnClass = s.insnClass
-	m.ptPages = make(map[uint32]bool, len(s.ptPages))
+	clear(m.ptPages)
 	for k, v := range s.ptPages {
 		m.ptPages[k] = v
 	}

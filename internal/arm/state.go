@@ -209,12 +209,14 @@ func (m *Machine) SetMVBAR(v uint32) { m.mvbar = v }
 // page tables, so that stores to them mark the TLB inconsistent (§5.1:
 // "executing a store to an address in either the first-level or any
 // second-level page table marks the TLB as inconsistent"). The monitor
-// updates this set when it builds or tears down enclave tables.
-func (m *Machine) SetPageTablePages(pages map[uint32]bool) {
-	if pages == nil {
-		pages = make(map[uint32]bool)
+// updates this set when it builds or tears down enclave tables. The set
+// is refilled in place: pages may repeat, and the machine keeps no
+// reference to the slice.
+func (m *Machine) SetPageTablePages(pages []uint32) {
+	clear(m.ptPages)
+	for _, pg := range pages {
+		m.ptPages[pg] = true
 	}
-	m.ptPages = pages
 }
 
 // NotePTStore is called for every store the monitor itself performs into a

@@ -211,7 +211,7 @@ func (t *TLB) RecordHits(n uint64) { t.hits += n }
 func (t *TLB) Flush() {
 	t.flushes++
 	t.epoch++
-	t.entries = make(map[uint32]tlbEntry)
+	clear(t.entries)
 	t.consistent = true
 	t.lastOK = false
 }

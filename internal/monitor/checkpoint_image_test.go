@@ -89,7 +89,7 @@ func TestCheckpointImageMatchesFullDecode(t *testing.T) {
 		}
 	}
 	for _, e := range []*nwos.Enclave{notary, multi, stopped} {
-		if _, _, err := w.os.CheckpointEnclave(e); err != nil {
+		if _, _, err := w.os.CheckpointEnclave(e, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -114,7 +114,7 @@ func (k *Monitor) smcEnter(thrPg, a1, a2, a3 uint32, resume bool) (kapi.Err, uin
 				k.recordEvent(spec.ExecEvent{Kind: spec.EventExit, ExitVal: retval})
 				// "the enclave's registers are not saved, permitting it
 				// to be re-entered" (§4).
-				k.restoreOSContext(osCtx)
+				k.restoreOSContext(&osCtx)
 				return kapi.ErrSuccess, retval, nil
 			}
 			if call == kapi.SVCFaultReturn && k.thInHandler(th) {
@@ -163,7 +163,7 @@ func (k *Monitor) smcEnter(thrPg, a1, a2, a3 uint32, resume bool) (kapi.Err, uin
 				kind = spec.EventFIQ
 			}
 			k.recordEvent(spec.ExecEvent{Kind: kind})
-			k.restoreOSContext(osCtx)
+			k.restoreOSContext(&osCtx)
 			return kapi.ErrInterrupted, exit, nil
 
 		case arm.TrapDataAbort, arm.TrapPrefetchAbort, arm.TrapUndef:
@@ -208,15 +208,15 @@ func (k *Monitor) smcEnter(thrPg, a1, a2, a3 uint32, resume bool) (kapi.Err, uin
 			// (§4). The monitor must not forward the faulting address.
 			k.thSetEntered(th, false)
 			k.recordEvent(spec.ExecEvent{Kind: spec.EventFault, FaultType: exit})
-			k.restoreOSContext(osCtx)
+			k.restoreOSContext(&osCtx)
 			return kapi.ErrFault, exit, nil
 
 		case arm.TrapBudget:
-			k.restoreOSContext(osCtx)
+			k.restoreOSContext(&osCtx)
 			return 0, 0, fmt.Errorf("monitor: enclave exceeded execution budget of %d instructions", k.ExecBudget)
 
 		default:
-			k.restoreOSContext(osCtx)
+			k.restoreOSContext(&osCtx)
 			return 0, 0, fmt.Errorf("monitor: unexpected trap %v during enclave execution", tr.Kind)
 		}
 	}
@@ -228,25 +228,26 @@ func (k *Monitor) recordEvent(ev spec.ExecEvent) {
 	}
 }
 
+// bankedModes are the normal-world modes whose banked registers an
+// osContext saves.
+var bankedModes = [...]arm.Mode{arm.ModeUsr, arm.ModeSvc, arm.ModeAbt, arm.ModeUnd, arm.ModeIrq, arm.ModeFiq}
+
 // osContext is the normal-world register state saved across enclave
-// execution.
+// execution. The banked registers and SPSRs are indexed like bankedModes
+// (the user mode has no SPSR; its slot is unused).
 type osContext struct {
 	r       [13]uint32
-	banked  map[arm.Mode][2]uint32 // SP, LR per mode
-	spsr    map[arm.Mode]arm.PSR
+	banked  [len(bankedModes)][2]uint32 // SP, LR per mode
+	spsr    [len(bankedModes)]arm.PSR
 	monLR   uint32
 	monSP   uint32
 	monSPSR arm.PSR
 	ttbr0N  uint32
 }
 
-var bankedModes = []arm.Mode{arm.ModeUsr, arm.ModeSvc, arm.ModeAbt, arm.ModeUnd, arm.ModeIrq, arm.ModeFiq}
-
-func (k *Monitor) saveOSContext() *osContext {
+func (k *Monitor) saveOSContext() osContext {
 	m := k.m
-	c := &osContext{
-		banked:  make(map[arm.Mode][2]uint32),
-		spsr:    make(map[arm.Mode]arm.PSR),
+	c := osContext{
 		monLR:   m.RegBanked(arm.ModeMon, arm.LR),
 		monSP:   m.RegBanked(arm.ModeMon, arm.SP),
 		monSPSR: m.SPSR(arm.ModeMon),
@@ -255,10 +256,10 @@ func (k *Monitor) saveOSContext() *osContext {
 	for i := range c.r {
 		c.r[i] = m.Reg(arm.Reg(i))
 	}
-	for _, md := range bankedModes {
-		c.banked[md] = [2]uint32{m.RegBanked(md, arm.SP), m.RegBanked(md, arm.LR)}
+	for i, md := range bankedModes {
+		c.banked[i] = [2]uint32{m.RegBanked(md, arm.SP), m.RegBanked(md, arm.LR)}
 		if md != arm.ModeUsr {
-			c.spsr[md] = m.SPSR(md)
+			c.spsr[i] = m.SPSR(md)
 		}
 	}
 	return c
@@ -281,11 +282,11 @@ func (k *Monitor) restoreOSContext(c *osContext) {
 	for i := range c.r {
 		m.SetReg(arm.Reg(i), c.r[i])
 	}
-	for _, md := range bankedModes {
-		m.SetRegBanked(md, arm.SP, c.banked[md][0])
-		m.SetRegBanked(md, arm.LR, c.banked[md][1])
+	for i, md := range bankedModes {
+		m.SetRegBanked(md, arm.SP, c.banked[i][0])
+		m.SetRegBanked(md, arm.LR, c.banked[i][1])
 		if md != arm.ModeUsr {
-			m.SetSPSR(md, c.spsr[md])
+			m.SetSPSR(md, c.spsr[i])
 		}
 	}
 	m.SetRegBanked(arm.ModeMon, arm.LR, c.monLR)
@@ -376,20 +377,28 @@ func decodeFlags(v uint32) arm.PSR {
 
 // pageTablePages collects the physical pages of an address space's page
 // tables, so user-mode stores to them (impossible under the invariants,
-// but modelled) mark the TLB inconsistent.
-func (k *Monitor) pageTablePages(as pagedb.PageNr) map[uint32]bool {
-	out := make(map[uint32]bool)
+// but modelled) mark the TLB inconsistent. It reads the L1 table in one
+// bulk copy, charged as the 256 word reads it models, and collects into
+// the monitor's reused buffer: the result is valid until the next call,
+// and pages may repeat.
+func (k *Monitor) pageTablePages(as pagedb.PageNr) []uint32 {
+	out := k.ptPages[:0]
 	l1, set := k.asL1PT(as)
 	if !set {
 		return out
 	}
 	l1Base := k.physPage(l1)
-	out[l1Base] = true
-	for i := 0; i < 256; i++ {
-		e := k.rd(l1Base + uint32(i*4))
+	out = append(out, l1Base)
+	var table [256]uint32
+	if err := k.m.Phys.ReadWords(l1Base, table[:], mem.Secure); err != nil {
+		panic(fmt.Sprintf("monitor: secure read %#x: %v", l1Base, err))
+	}
+	k.m.Cyc.ChargeN(cycles.WordRead, len(table))
+	for _, e := range table {
 		if e&1 != 0 {
-			out[e&^uint32(mem.PageSize-1)] = true
+			out = append(out, e&^uint32(mem.PageSize-1))
 		}
 	}
+	k.ptPages = out
 	return out
 }

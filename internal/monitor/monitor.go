@@ -54,6 +54,10 @@ type Monitor struct {
 
 	// ckpt is storage the checkpoint SMC reuses from call to call.
 	ckpt ckptScratch
+
+	// ptPages is pageTablePages' reused buffer: the page-table pages
+	// collected on every Enter.
+	ptPages []uint32
 }
 
 // Config parameterises Install.

@@ -35,11 +35,11 @@ func TestCheckpointBlobDeclassification(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	blobA, manA, err := p.A.OS.CheckpointEnclave(enc)
+	blobA, manA, err := p.A.OS.CheckpointEnclave(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobB, manB, err := p.B.OS.CheckpointEnclave(enc)
+	blobB, manB, err := p.B.OS.CheckpointEnclave(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func TestBulkCopiesMatchPerWord(t *testing.T) {
 	log := &boundaryLog{}
 	oa.SetTap(log)
 
-	blob, man, err := oa.CheckpointEnclave(ea)
+	blob, man, err := oa.CheckpointEnclave(ea, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,8 +109,10 @@ func (o *OS) scratch(words int) (uint32, error) {
 
 // CheckpointEnclave seals a finalised (or stopped) enclave into a blob,
 // returning the blob words and the manifest needed to restore it. The
-// running enclave is left untouched.
-func (o *OS) CheckpointEnclave(e *Enclave) ([]uint32, Manifest, error) {
+// blob is read into blob's backing array, grown only if it is too short,
+// so a caller that passes the previous blob back allocates nothing for
+// it. The running enclave is left untouched.
+func (o *OS) CheckpointEnclave(e *Enclave, blob []uint32) ([]uint32, Manifest, error) {
 	man := manifestFor(e)
 	maxWords := seal.ImageWords(len(e.Threads), 1, len(e.L2PTs), len(e.Data), len(e.Spares)) +
 		seal.OverheadWords
@@ -122,8 +124,8 @@ func (o *OS) CheckpointEnclave(e *Enclave) ([]uint32, Manifest, error) {
 	if err != nil {
 		return nil, man, err
 	}
-	blob, err := o.ReadInsecure(pa, int(n))
-	if err != nil {
+	blob = slices.Grow(blob[:0], int(n))[:n]
+	if err := o.ReadInsecureInto(pa, blob); err != nil {
 		return nil, man, err
 	}
 	o.tel.ObserveLifecycle(telemetry.LifeStop, uint32(e.AS)) // checkpoint taken

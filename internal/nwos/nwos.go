@@ -34,7 +34,10 @@ type Driver interface {
 // results, insecure-memory traffic the Go-side harness performs, and
 // interrupt scheduling. The record/replay layer (internal/replay) installs
 // one to capture a request; nil means no observation. Taps run after the
-// operation completes, on the same goroutine.
+// operation completes, on the same goroutine. The words and args slices
+// a tap is handed are valid only for the duration of the call: the OS
+// may reuse the buffers behind them (a checkpoint reads its blob into
+// the caller's reused Checkpoint), so a tap that keeps them copies them.
 type Tap interface {
 	TapSMC(call uint32, args []uint32, errc kapi.Err, val uint32, err error)
 	TapWriteInsecure(pa uint32, words []uint32, err error)
@@ -158,16 +161,23 @@ func (o *OS) WriteInsecure(pa uint32, words []uint32) error {
 // ReadInsecure loads n words from insecure RAM as one bulk copy.
 func (o *OS) ReadInsecure(pa uint32, n int) ([]uint32, error) {
 	out := make([]uint32, n)
-	if err := o.mach.Phys.ReadWords(pa, out, mem.Normal); err != nil {
-		if o.tap != nil {
-			o.tap.TapReadInsecure(pa, n, nil, err)
-		}
+	if err := o.ReadInsecureInto(pa, out); err != nil {
 		return nil, err
 	}
-	if o.tap != nil {
-		o.tap.TapReadInsecure(pa, n, out, nil)
-	}
 	return out, nil
+}
+
+// ReadInsecureInto fills dst from insecure RAM at pa as one bulk copy.
+func (o *OS) ReadInsecureInto(pa uint32, dst []uint32) error {
+	err := o.mach.Phys.ReadWords(pa, dst, mem.Normal)
+	if o.tap != nil {
+		words := dst
+		if err != nil {
+			words = nil
+		}
+		o.tap.TapReadInsecure(pa, len(dst), words, err)
+	}
+	return err
 }
 
 // Segment is one virtual-memory region of an enclave image.

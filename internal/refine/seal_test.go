@@ -44,7 +44,7 @@ func TestCheckpointRestoreRefined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	blob, man, err := os.CheckpointEnclave(enc)
+	blob, man, err := os.CheckpointEnclave(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCheckpointRestoreStopped(t *testing.T) {
 	if _, _, err := chk.SMC(kapi.SMCStop, uint32(enc.AS)); err != nil {
 		t.Fatal(err)
 	}
-	blob, man, err := os.CheckpointEnclave(enc)
+	blob, man, err := os.CheckpointEnclave(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRestorePageListValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, man, err := os.CheckpointEnclave(enc)
+	blob, man, err := os.CheckpointEnclave(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestTamperedBlobFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, man, err := os.CheckpointEnclave(enc)
+	blob, man, err := os.CheckpointEnclave(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestCrossBoardMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, man, err := osA.CheckpointEnclave(enc)
+	blob, man, err := osA.CheckpointEnclave(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package server
 // on untrusted disk.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -79,7 +80,10 @@ func decodeRecord(payload []byte) (SavedCheckpoint, error) {
 // CheckpointStore persists per-worker notary checkpoints. Safe for
 // concurrent use: Saves append to the WAL without holding a common
 // mutex across the write, so with store.WithGroupCommit concurrent
-// checkpoints coalesce into shared fsync groups.
+// checkpoints coalesce into shared fsync groups. Each worker's records
+// are encoded into two WAL frames in turn: the one backing its latest
+// checkpoint, and the one that latest replaced, which its next Save
+// overwrites.
 type CheckpointStore struct {
 	// cmu orders saves against compaction: every Save holds it shared
 	// for append + map update, Compact takes it exclusively, so the
@@ -87,11 +91,22 @@ type CheckpointStore struct {
 	// record.
 	cmu sync.RWMutex
 	// mu guards the in-memory map state only (never held across I/O).
-	mu        sync.Mutex
-	st        *store.Store
-	latest    map[int]SavedCheckpoint
-	latestSeq map[int]uint64 // WAL seq backing latest, so stale group members lose
-	dirty     int            // records appended since the last compaction
+	mu     sync.Mutex
+	st     *store.Store
+	latest map[int]*workerCkpt
+	dirty  int // records appended since the last compaction
+}
+
+// workerCkpt is one worker's latest checkpoint and the WAL frames its
+// Saves encode records into. frame is the one Ckpt aliases, nil when
+// the checkpoint was recovered, so a recovered payload is never
+// overwritten; spare is the next Save's. A frame is in one place at a
+// time, frame, spare or with the Save encoding into it, so no reader
+// sees it overwritten.
+type workerCkpt struct {
+	SavedCheckpoint
+	seq          uint64 // WAL seq backing it, so stale group members lose
+	frame, spare []byte
 }
 
 // OpenCheckpointStore opens (or creates) the checkpoint store in dir,
@@ -101,7 +116,7 @@ func OpenCheckpointStore(dir string, opts ...store.Option) (*CheckpointStore, er
 	if err != nil {
 		return nil, err
 	}
-	c := &CheckpointStore{st: st, latest: make(map[int]SavedCheckpoint), latestSeq: make(map[int]uint64)}
+	c := &CheckpointStore{st: st, latest: make(map[int]*workerCkpt)}
 	// Snapshot first (the folded base), then replay the WAL over it —
 	// later records win.
 	if data, ok, err := st.ReadSnapshot(ckptSnapshotName); err != nil {
@@ -114,7 +129,7 @@ func OpenCheckpointStore(dir string, opts ...store.Option) (*CheckpointStore, er
 			return nil, fmt.Errorf("server: checkpoint snapshot corrupt: %w", err)
 		}
 		for _, s := range snap {
-			c.latest[s.Worker] = s
+			c.latest[s.Worker] = &workerCkpt{SavedCheckpoint: s}
 		}
 	}
 	for _, rec := range st.Records() {
@@ -131,29 +146,37 @@ func OpenCheckpointStore(dir string, opts ...store.Option) (*CheckpointStore, er
 			st.Close()
 			return nil, fmt.Errorf("server: checkpoint record %d: %w", rec.Seq, err)
 		}
-		c.latest[s.Worker] = s
-		c.latestSeq[s.Worker] = rec.Seq
+		c.latest[s.Worker] = &workerCkpt{SavedCheckpoint: s, seq: rec.Seq}
 	}
 	return c, nil
 }
 
 // Save durably records worker's notary checkpoint at the given counter.
-// The record is encoded in one pass into its own WAL frame
-// (store.AppendFrame), which the store writes as it is and the saved
-// Ckpt then aliases. The WAL append runs outside any map mutex, so
-// concurrent Saves from different sealed batches can share one fsync
-// group.
+// The record is encoded in one pass into a WAL frame the worker's
+// earlier Saves allocated (store.AppendFrame), which the store writes
+// as it is and the saved Ckpt then aliases, so a steady stream of Saves
+// allocates nothing in proportion to the checkpoint. The WAL append runs
+// outside any map mutex, so concurrent Saves from different sealed
+// batches can share one fsync group.
 func (c *CheckpointStore) Save(worker int, counter uint32, ckpt *komodo.Checkpoint) error {
 	if worker < 0 || uint64(worker) > math.MaxUint32 {
 		return fmt.Errorf("server: worker id %d out of range", worker)
 	}
+	var frame []byte
+	c.mu.Lock()
+	if w := c.latest[worker]; w != nil {
+		frame, w.spare = w.spare, nil
+	}
+	c.mu.Unlock()
+
 	const at = store.FrameHead + recHeadBytes
-	frame := make([]byte, at)
+	frame = append(frame[:0], make([]byte, at)...)
 	binary.BigEndian.PutUint32(frame[store.FrameHead:], recFormat)
 	binary.BigEndian.PutUint32(frame[store.FrameHead+4:], uint32(worker))
 	binary.BigEndian.PutUint32(frame[store.FrameHead+8:], counter)
-	// AppendCompact grows frame once, to an allocator size class; the
-	// CRC's bytes fit in its slack unless the record ends on a class
+	// AppendCompact grows a worker's first frames once, to an allocator
+	// size class, and a reused one only if the record outgrew it. The
+	// CRC's bytes fit in the slack unless the record ends on a class
 	// boundary, where this append copies it once more.
 	frame, err := ckpt.AppendCompact(frame)
 	if err != nil {
@@ -164,26 +187,35 @@ func (c *CheckpointStore) Save(worker int, counter uint32, ckpt *komodo.Checkpoi
 	s := SavedCheckpoint{Worker: worker, Counter: counter, Ckpt: frame[at:end:end]}
 	c.cmu.RLock()
 	seq, err := c.st.AppendFrame(recCheckpoint, frame)
-	if err != nil {
-		c.cmu.RUnlock()
-		return err
-	}
 	c.mu.Lock()
 	// Group commits can complete two Saves for one worker in either
 	// map-update order; the one the WAL ordered later wins, matching
 	// what recovery would replay.
-	if seq >= c.latestSeq[worker] {
-		c.latest[worker] = s
-		c.latestSeq[worker] = seq
+	w := c.latest[worker]
+	if err == nil && (w == nil || seq >= w.seq) {
+		if w == nil {
+			w = &workerCkpt{}
+			c.latest[worker] = w
+		}
+		w.SavedCheckpoint, w.seq = s, seq
+		w.frame, frame = frame, w.frame
 	}
-	c.dirty++
-	compactNow := c.dirty >= ckptCompactEvery
+	// The store keeps nothing of a frame, so the one latest no longer
+	// uses, or a failed or stale one, is the next Save's to encode into.
+	if w != nil {
+		w.spare = frame
+	}
+	compactNow := false
+	if err == nil {
+		c.dirty++
+		compactNow = c.dirty >= ckptCompactEvery
+	}
 	c.mu.Unlock()
 	c.cmu.RUnlock()
 	if compactNow {
 		c.compact()
 	}
-	return nil
+	return err
 }
 
 // compact folds latest into a snapshot and rewinds the WAL (store.Compact
@@ -203,8 +235,8 @@ func (c *CheckpointStore) compact() {
 		return
 	}
 	snap := make([]SavedCheckpoint, 0, len(c.latest))
-	for _, s := range c.latest {
-		snap = append(snap, s)
+	for _, w := range c.latest {
+		snap = append(snap, w.SavedCheckpoint)
 	}
 	c.mu.Unlock()
 	data, err := json.Marshal(snap)
@@ -226,12 +258,18 @@ func (c *CheckpointStore) compact() {
 // fsyncs, commit-group sizes) for /v1/stats and /metrics.
 func (c *CheckpointStore) StoreStats() store.Stats { return c.st.Stats() }
 
-// Latest returns worker's most recent checkpoint, if any.
+// Latest returns a copy of worker's most recent checkpoint, if any: the
+// store's own Ckpt is a frame the worker's next Saves overwrite.
 func (c *CheckpointStore) Latest(worker int) (SavedCheckpoint, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.latest[worker]
-	return s, ok
+	w, ok := c.latest[worker]
+	if !ok {
+		return SavedCheckpoint{}, false
+	}
+	s := w.SavedCheckpoint
+	s.Ckpt = bytes.Clone(s.Ckpt)
+	return s, true
 }
 
 // Workers lists the worker IDs with saved checkpoints.

@@ -500,13 +500,13 @@ func (s *Server) maybeCheckpoint(ctx context.Context, wk *pool.Worker, st *Worke
 	}
 	tr := obs.FromContext(ctx)
 	sp := tr.StartSpan("seal")
-	ckpt, err := wk.System().CheckpointEnclave(st.Notary)
+	err := wk.System().CheckpointInto(&st.ckpt, st.Notary)
 	sp.End()
 	if err != nil {
 		return err
 	}
 	sp = tr.StartSpan("wal")
-	err = s.cfg.Checkpoints.Save(wk.ID(), counter, ckpt)
+	err = s.cfg.Checkpoints.Save(wk.ID(), counter, &st.ckpt)
 	sp.End()
 	if err != nil {
 		return err

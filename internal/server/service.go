@@ -30,6 +30,11 @@ type WorkerState struct {
 	// so migrated counter streams stay distinguishable from the streams
 	// they displaced.
 	Restores int
+
+	// ckpt is the checkpoint Server.maybeCheckpoint seals the notary
+	// into, reused from sign to sign: Save copies it into its WAL frame,
+	// and the worker is checked out for the whole seal and save.
+	ckpt komodo.Checkpoint
 }
 
 // NotarySharedPages sizes the notary's shared region; documents up to

@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,16 +37,26 @@ func appendFrame(dst []byte, seq uint64, kind uint32, payload []byte) []byte {
 }
 
 // checkFramesInPlace checks that the WAL in dir is exactly appendFrame's
-// encoding of s's records, whose payloads are byKind's, and that each
-// live record aliases the caller's frame rather than a copy of it.
-func checkFramesInPlace(t *testing.T, s *Store, dir string, byKind map[uint32][]byte, frames map[uint32][]byte) {
+// encoding of the records appended as seqs (kind to seq) with byKind's
+// payloads. It first scribbles over every frame the test handed
+// AppendFrame, so a store that kept one, or wrote it late, shows up in
+// the bytes. It then closes s and checks that reopening recovers the
+// same records.
+func checkFramesInPlace(t *testing.T, s *Store, dir string, seqs map[uint32]uint64, byKind map[uint32][]byte, frames map[uint32][]byte) {
 	t.Helper()
-	var want []byte
-	for _, r := range s.Records() {
-		want = appendFrame(want, r.Seq, r.Kind, byKind[r.Kind])
-		if f := frames[r.Kind]; f != nil && &r.Payload[0] != &f[FrameHead] {
-			t.Errorf("record %d does not alias its caller's frame", r.Seq)
+	for _, f := range frames {
+		for i := range f {
+			f[i] = 0xFF
 		}
+	}
+	var kinds []uint32
+	for kind := range seqs {
+		kinds = append(kinds, kind)
+	}
+	slices.SortFunc(kinds, func(a, b uint32) int { return cmp.Compare(seqs[a], seqs[b]) })
+	var want []byte
+	for _, kind := range kinds {
+		want = appendFrame(want, seqs[kind], kind, byKind[kind])
 	}
 	got, err := os.ReadFile(filepath.Join(dir, walName))
 	if err != nil {
@@ -53,33 +65,47 @@ func checkFramesInPlace(t *testing.T, s *Store, dir string, byKind map[uint32][]
 	if !bytes.Equal(got, want) {
 		t.Fatalf("WAL of %d bytes differs from appendFrame's %d bytes", len(got), len(want))
 	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := openT(t, dir).Records()
+	if len(recs) != len(kinds) {
+		t.Fatalf("recovered %d records, want %d", len(recs), len(kinds))
+	}
+	for i, r := range recs {
+		if r.Kind != kinds[i] || r.Seq != seqs[r.Kind] || !bytes.Equal(r.Payload, byKind[r.Kind]) {
+			t.Errorf("recovered record %d is seq %d kind %d, want seq %d kind %d with its payload", i, r.Seq, r.Kind, seqs[kinds[i]], kinds[i])
+		}
+	}
 }
 
 // TestAppendFrameInPlaceBytes: a frame the caller built in place reaches
 // the WAL byte-identical to appendFrame's encoding of the same seq, kind
 // and payload, appended alone, through Append's copy, and as a member of
-// a real commit group of three.
+// a real commit group of three; the caller may reuse its frames once
+// AppendFrame returns.
 func TestAppendFrameInPlaceBytes(t *testing.T) {
 	t.Run("alone", func(t *testing.T) {
 		dir := t.TempDir()
 		s := openT(t, dir)
 		byKind := map[uint32][]byte{}
 		frames := map[uint32][]byte{}
+		seqs := map[uint32]uint64{}
 		for kind := uint32(1); kind <= 4; kind++ {
 			p := bytes.Repeat([]byte{byte(kind)}, int(kind)*13)
 			byKind[kind] = p
+			var err error
 			if kind == 3 { // the Append wrapper between in-place frames
-				if _, err := s.Append(kind, p); err != nil {
-					t.Fatal(err)
-				}
-				continue
+				seqs[kind], err = s.Append(kind, p)
+			} else {
+				frames[kind] = inPlaceFrame(p)
+				seqs[kind], err = s.AppendFrame(kind, frames[kind])
 			}
-			frames[kind] = inPlaceFrame(p)
-			if _, err := s.AppendFrame(kind, frames[kind]); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		checkFramesInPlace(t, s, dir, byKind, frames)
+		checkFramesInPlace(t, s, dir, seqs, byKind, frames)
 	})
 
 	t.Run("group", func(t *testing.T) {
@@ -99,11 +125,14 @@ func TestAppendFrameInPlaceBytes(t *testing.T) {
 			frames[kind] = inPlaceFrame(byKind[kind])
 		}
 		var wg sync.WaitGroup
+		var seqByKind [5]uint64
 		appendKind := func(kind uint32) {
 			defer wg.Done()
-			if _, err := s.AppendFrame(kind, frames[kind]); err != nil {
+			seq, err := s.AppendFrame(kind, frames[kind])
+			if err != nil {
 				t.Errorf("append kind %d: %v", kind, err)
 			}
+			seqByKind[kind] = seq
 		}
 		wg.Add(1)
 		go appendKind(1)
@@ -122,7 +151,11 @@ func TestAppendFrameInPlaceBytes(t *testing.T) {
 		if st := s.Stats(); st.Groups != 2 || st.GroupSizeMax != 3 {
 			t.Fatalf("stats %+v: want a group of 1 and a group of 3", st)
 		}
-		checkFramesInPlace(t, s, dir, byKind, frames)
+		seqs := map[uint32]uint64{}
+		for kind := uint32(1); kind <= 4; kind++ {
+			seqs[kind] = seqByKind[kind]
+		}
+		checkFramesInPlace(t, s, dir, seqs, byKind, frames)
 	})
 }
 

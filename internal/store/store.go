@@ -14,8 +14,9 @@
 //   - A caller can build a record in its own frame: AppendFrame takes a
 //     buffer with FrameHead free bytes, the payload and FrameTail free
 //     bytes, fills in the head and CRC under the store mutex and writes
-//     the buffer as it is. Append is a wrapper that copies a payload
-//     into such a frame.
+//     the buffer as it is. The store keeps no reference to the frame, so
+//     the caller may reuse it once AppendFrame returns. Append is a
+//     wrapper that copies a payload into such a frame.
 //   - Append fsyncs before reporting success; if the fsync fails the
 //     record is rolled back (truncated) and the error surfaced, so "it
 //     returned nil" always means "it is on disk".
@@ -51,6 +52,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -144,7 +146,7 @@ type Store struct {
 	mu    sync.Mutex // guards off, seq, recs, rec, stats
 	off   int64      // end of the live log (leftovers may follow)
 	seq   uint64
-	recs  []Record
+	recs  []Record // what Open recovered, until Compact folds it away
 	rec   RecoveryInfo
 	stats Stats
 
@@ -158,6 +160,7 @@ type Store struct {
 	gq      []*groupAppend
 	gclosed bool
 	gdone   chan struct{} // closed when the committer exits
+	gbuf    []byte        // the committer's reused buffer for a group's one write
 }
 
 type groupAppend struct {
@@ -345,12 +348,6 @@ func putFrame(frame []byte, seq uint64, kind uint32) {
 	binary.BigEndian.PutUint32(frame[end:], crc32.ChecksumIEEE(frame[4:end]))
 }
 
-// payloadOf is the payload of a frame built for AppendFrame.
-func payloadOf(frame []byte) []byte {
-	end := len(frame) - crcBytes
-	return frame[headBytes:end:end]
-}
-
 // Append durably adds a record and returns its sequence number. It
 // copies payload into a fresh frame and hands it to AppendFrame.
 func (s *Store) Append(kind uint32, payload []byte) (uint64, error) {
@@ -367,9 +364,10 @@ func (s *Store) Append(kind uint32, payload []byte) (uint64, error) {
 // payload, then FrameTail free bytes; under the store mutex AppendFrame
 // fills in the head (magic, seq, kind, length) and the CRC and writes
 // frame as it is, so the record is encoded once, in its final place.
-// The live log's record aliases frame's payload: the caller must not
-// modify frame after the call. On any write or sync failure the partial
-// record is rolled back so the log never holds an unacknowledged tail.
+// The store keeps no reference to frame once the call returns, so the
+// caller may build its next record in it. On any write or sync failure
+// the partial record is rolled back so the log never holds an
+// unacknowledged tail.
 // With WithGroupCommit, concurrent callers share one write+fsync; each
 // still returns only after its record is on disk (or after the whole
 // group was rolled back).
@@ -406,9 +404,6 @@ func (s *Store) AppendFrame(kind uint32, frame []byte) (uint64, error) {
 	}
 	s.off += int64(len(frame))
 	s.seq = seq
-	// The live log aliases the written frame rather than copying the
-	// payload a second time.
-	s.recs = append(s.recs, Record{Seq: seq, Kind: kind, Payload: payloadOf(frame)})
 	s.stats.Appends++
 	s.stats.Fsyncs++
 	s.stats.Groups++
@@ -445,9 +440,10 @@ func (s *Store) committer() {
 
 // commitGroup writes one contiguous run of frames and fsyncs once. A
 // group of one writes its member's frame as it is; a larger group
-// copies its members' frames into one buffer for a single write. A
-// write or sync failure truncates the whole group away and fails every
-// member — no member is ever acknowledged off a failed fsync.
+// copies its members' frames into the committer's reused buffer for a
+// single write. A write or sync failure truncates the whole group away
+// and fails every member — no member is ever acknowledged off a failed
+// fsync.
 func (s *Store) commitGroup(grp []*groupAppend) {
 	s.lock()
 	size := 0
@@ -457,10 +453,11 @@ func (s *Store) commitGroup(grp []*groupAppend) {
 	}
 	buf := grp[0].frame
 	if len(grp) > 1 {
-		buf = make([]byte, 0, size)
+		buf = slices.Grow(s.gbuf[:0], size)
 		for _, p := range grp {
 			buf = append(buf, p.frame...)
 		}
+		s.gbuf = buf
 	}
 	if err := s.write(buf); err != nil {
 		s.mu.Unlock()
@@ -473,7 +470,6 @@ func (s *Store) commitGroup(grp []*groupAppend) {
 	for _, p := range grp {
 		s.seq++
 		p.seq = s.seq
-		s.recs = append(s.recs, Record{Seq: p.seq, Kind: p.kind, Payload: payloadOf(p.frame)})
 	}
 	s.off += int64(len(buf))
 	s.stats.Appends += uint64(len(grp))
@@ -528,8 +524,10 @@ func (s *Store) rollback() {
 	s.wal.Seek(s.off, io.SeekStart)
 }
 
-// Records returns the live log: recovered records plus successful
-// appends, in order. The slice is shared — callers must not mutate it.
+// Records returns the records Open recovered, in order, until Compact
+// folds them away. Appends made through this handle are not added: read
+// them back by reopening the store. The slice is shared — callers must
+// not mutate it.
 func (s *Store) Records() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -143,15 +143,29 @@ func unmarshalCompact(data []byte) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// CheckpointEnclave seals a finalised (or stopped) enclave into a
+// CheckpointEnclave seals a finalised (or stopped) enclave into a new
 // portable checkpoint. The enclave keeps running; the checkpoint is a
 // point-in-time copy.
 func (s *System) CheckpointEnclave(e *Enclave) (*Checkpoint, error) {
-	blob, man, err := s.os.CheckpointEnclave(e.enc)
-	if err != nil {
+	var c Checkpoint
+	if err := s.CheckpointInto(&c, e); err != nil {
 		return nil, err
 	}
-	return &Checkpoint{Manifest: man, Blob: blob}, nil
+	return &c, nil
+}
+
+// CheckpointInto seals e into c, reading the blob into c.Blob's backing
+// array (grown only if it is too short). A caller that checkpoints into
+// the same Checkpoint again allocates nothing in proportion to the
+// image, and must be done with the previous blob. On an error c's blob
+// words are unspecified.
+func (s *System) CheckpointInto(c *Checkpoint, e *Enclave) error {
+	blob, man, err := s.os.CheckpointEnclave(e.enc, c.Blob)
+	if err != nil {
+		return err
+	}
+	c.Manifest, c.Blob = man, blob
+	return nil
 }
 
 // RestoreEnclave instantiates a checkpoint onto this system. It succeeds
