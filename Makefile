@@ -46,7 +46,9 @@ bench-json:
 # with fsync and with a no-op sync (encode + write alone), and
 # BenchmarkDurableSign one unbatched durable sign through the server's
 # ServeHTTP, so -benchmem shows what a sign allocates. BenchmarkBoot
-# boots a two-worker serving pool and BenchmarkDigest/BenchmarkExportPages
+# boots a two-worker serving pool, BenchmarkStartRecording runs one notary
+# sign bare and under the replay recorder (the difference is the
+# recorder's own cost per request), and BenchmarkDigest/BenchmarkExportPages
 # walk a sparse default-layout memory; -benchmem prints what each allocates.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x .
@@ -55,7 +57,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkRebase|BenchmarkCheckpoint' -benchtime 1x ./komodo/
 	$(GO) test -run XXX -bench BenchmarkRebase -benchtime 200ms -timeout 60s ./komodo/
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/sha2/
-	$(GO) test -run XXX -bench 'BenchmarkCheckpointStoreSave|BenchmarkDurableSign|BenchmarkBoot' -benchmem -benchtime 1x ./internal/server/
+	$(GO) test -run XXX -bench 'BenchmarkCheckpointStoreSave|BenchmarkDurableSign|BenchmarkBoot|BenchmarkStartRecording' -benchmem -benchtime 1x ./internal/server/
 	$(GO) test -run XXX -bench 'BenchmarkDigest|BenchmarkExportPages' -benchmem -benchtime 1x ./internal/mem/
 	$(GO) run ./cmd/komodo-bench -perf -perf-requests 16
 

@@ -3,6 +3,7 @@ package arm_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	. "repro/internal/arm"
@@ -53,13 +54,16 @@ func snapshotView(t *testing.T, twin *Machine, s *Snapshot) (MachineState, []mem
 
 // TestMachineRebaseMatchesFreshSnapshot is the machine-level bit-identity
 // property of Rebase: seeded random rounds run a storing, RNG-drawing
-// loop, write secure memory, perturb every exported machine field,
-// restore the golden and a foreign snapshot, import pages and take
-// unrelated snapshots. Each Rebase of the golden folds exactly when the
-// golden is still memory's baseline. After a fold the golden must hold
-// the same machine fields and memory as a fresh Snapshot, and restoring
-// it after further execution must be a delta restore back to exactly the
-// rebased state.
+// loop, write secure memory, perturb every exported machine field
+// (page-table pages out of order and repeated), restore the golden and a
+// foreign snapshot, import pages and take unrelated snapshots. Each
+// Rebase of the golden folds exactly when the golden is still memory's
+// baseline. After a fold the golden must hold the same machine fields and
+// memory as a fresh Snapshot, restoring it after further execution must
+// be a delta restore back to exactly the rebased state, and restoring
+// either snapshot must export exactly the state exported when it was
+// captured. An import must export exactly what was imported, page-table
+// pages sorted and unique.
 func TestMachineRebaseMatchesFreshSnapshot(t *testing.T) {
 	prog := asm.New().
 		Movw(R0, 0).
@@ -72,7 +76,8 @@ func TestMachineRebaseMatchesFreshSnapshot(t *testing.T) {
 		StrR(R4, R6, R5).
 		RdSys(R7, SysRNG).
 		B("loop")
-	for _, seed := range []int64{1, 2} {
+	modes := []Mode{ModeUsr, ModeSvc, ModeAbt, ModeUnd, ModeIrq, ModeFiq, ModeMon}
+	for _, seed := range []int64{1, 2, 3, 4} {
 		r := rand.New(rand.NewSource(seed))
 		m := newSmallMachine(t, prog)
 		twin := newSmallMachine(t, nil)
@@ -97,17 +102,35 @@ func TestMachineRebaseMatchesFreshSnapshot(t *testing.T) {
 					t.Fatal(err)
 				}
 			case 4:
-				// Perturb fields a short run does not reach. R0, R6 and
-				// the PC keep the loop storing inside its window.
+				// Perturb every field but R0–R7, the PC and the CPSR,
+				// which keep the loop storing inside its window, and the
+				// interrupt lines, which keep it from trapping.
 				st := m.ExportState()
-				st.R[8+r.Intn(5)] = r.Uint32()
-				st.SP[r.Intn(len(st.SP))] = r.Uint32()
-				st.TTBR1 = r.Uint32()
-				st.VBAR = r.Uint32() &^ 31
-				st.PTPages = []uint32{l.SecureBase + uint32(r.Intn(16))*mem.PageSize}
+				for i := 8; i < len(st.R); i++ {
+					st.R[i] = r.Uint32()
+				}
+				for mo := range st.SP {
+					st.SP[mo], st.LR[mo] = r.Uint32(), r.Uint32()
+					st.SPSR[mo] = PSR{Mode: modes[r.Intn(len(modes))], N: r.Intn(2) == 0, I: r.Intn(2) == 0}
+				}
+				st.TTBR0 = [2]uint32{r.Uint32() &^ 0x3fff, r.Uint32() &^ 0x3fff}
+				st.TTBR1, st.VBAR, st.MVBAR = r.Uint32(), r.Uint32()&^31, r.Uint32()&^31
+				st.PTPages = st.PTPages[:0]
+				for range 1 + r.Intn(5) {
+					pg := l.SecureBase + uint32(r.Intn(16))*mem.PageSize
+					st.PTPages = append(st.PTPages, pg, pg)
+				}
+				st.Retired += uint64(r.Intn(1 << 20))
+				st.Cycles += uint64(r.Intn(1 << 20))
+				st.RNG = [4]uint64{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64() | 1}
 				st.TLBConsistent = r.Intn(2) == 0
 				if err := m.ImportState(st); err != nil {
 					t.Fatal(err)
+				}
+				slices.Sort(st.PTPages)
+				st.PTPages = slices.Compact(st.PTPages)
+				if got := m.ExportState(); !reflect.DeepEqual(got, st) {
+					t.Fatalf("seed %d round %d: export after import differs: %v", seed, round, got.Diff(st))
 				}
 			case 5:
 				if err := m.Restore(golden); err != nil {
@@ -150,8 +173,8 @@ func TestMachineRebaseMatchesFreshSnapshot(t *testing.T) {
 				if m.Phys.RestoreStats().DeltaRestores != deltas+1 {
 					t.Fatalf("seed %d round %d: restore of a rebased golden was not a delta", seed, round)
 				}
-				if d := m.ExportState().Diff(want); len(d) > 0 {
-					t.Fatalf("seed %d round %d: restore diverged from the rebased state: %v", seed, round, d)
+				if got := m.ExportState(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d round %d: restore diverged from the rebased state: %v", seed, round, got.Diff(want))
 				}
 				if !reflect.DeepEqual(m.Phys.ExportPages(), wantPages) {
 					t.Fatalf("seed %d round %d: restored memory diverged from the rebased state", seed, round)
@@ -160,6 +183,9 @@ func TestMachineRebaseMatchesFreshSnapshot(t *testing.T) {
 				baseline = false
 				gotState, gotPages := snapshotView(t, twin, golden)
 				freshState, freshPages := snapshotView(t, twin, fresh)
+				if !reflect.DeepEqual(freshState, want) {
+					t.Fatalf("seed %d round %d: restored fresh snapshot differs from the state it captured: %v", seed, round, freshState.Diff(want))
+				}
 				if d := gotState.Diff(freshState); len(d) > 0 {
 					t.Fatalf("seed %d round %d: rebased golden differs from a fresh snapshot: %v", seed, round, d)
 				}

@@ -219,9 +219,8 @@ func (g *Gateway) resolve(idx int) int {
 
 // routeShard picks the backend for a shard key: the ring owner (through
 // the migration forwarding overlay) when it is up, else the next up
-// backend in ring order (a failover). The second return reports whether
-// the shard is currently held by an in-flight migration, the third how
-// many down backends were skipped.
+// backend in ring order. held reports that the shard is held by an
+// in-flight migration, failover that down backends were skipped.
 //
 // When a backend is returned, its in-flight count has already been
 // incremented inside the same g.mu critical section that observed no
@@ -232,10 +231,9 @@ func (g *Gateway) resolve(idx int) int {
 // samples the in-flight count, any request it doesn't see is guaranteed
 // to observe the hold and bounce. The caller must balance the count
 // (forwardTo's deferred decrement does).
-func (g *Gateway) routeShard(key string) (*backend, bool, int) {
+func (g *Gateway) routeShard(key string) (b *backend, held, failover bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	skipped := 0
 	seen := map[int]bool{}
 	for _, cand := range g.ring.Candidates(key) {
 		idx := g.resolveLocked(cand)
@@ -244,15 +242,15 @@ func (g *Gateway) routeShard(key string) (*backend, bool, int) {
 		}
 		seen[idx] = true
 		if g.migrating[idx] {
-			return nil, true, skipped
+			return nil, true, failover
 		}
 		if b := g.backends[idx]; b.State() == StateUp {
 			b.inflight.Add(1)
-			return b, false, skipped
+			return b, false, failover
 		}
-		skipped++
+		failover = true
 	}
-	return nil, false, skipped
+	return nil, false, failover
 }
 
 // nextUp picks a backend for stateless traffic: round-robin over up
@@ -389,48 +387,12 @@ func (g *Gateway) handleNotarySign(w http.ResponseWriter, r *http.Request) {
 	if key == "" {
 		key = r.Header.Get("X-Komodo-Shard")
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, server.MaxCheckpointBytes+1))
-	if err != nil {
-		obs.ReplyErr(w, http.StatusBadRequest, "", "reading body: %v", err)
-		return
-	}
-	if int64(len(body)) > server.MaxCheckpointBytes {
-		obs.ReplyErr(w, http.StatusRequestEntityTooLarge, "", "body larger than %d bytes", server.MaxCheckpointBytes)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 
-	// A shard request may need several attempts: the first routable
-	// candidate can die between the probe and the proxy. Retrying is safe
-	// only on dial-level errors (the backend never saw the request).
-	for attempt := 0; attempt <= len(g.backends); attempt++ {
-		b, held, skipped := g.routeShard(key)
-		if held {
-			g.holds.Add(1)
-			obs.ReplyErr(w, http.StatusServiceUnavailable, "1", "shard %q migrating; retry shortly", key)
-			return
-		}
-		if b == nil {
-			g.noBackend.Add(1)
-			obs.ReplyErr(w, http.StatusServiceUnavailable, "2", "no live backend for shard %q", key)
-			return
-		}
-		if err := g.forwardTo(w, r, b, body); err != nil {
-			if isDialError(err) {
-				continue // backend demoted by observe(); re-route
-			}
-			g.badGateway.Add(1)
-			obs.ReplyErr(w, http.StatusBadGateway, "1", "backend %s: %v", b.name, err)
-			return
-		}
-		// Count the failover once per served request, not once per dial
-		// attempt — dead candidates walked on the way don't inflate it.
-		if skipped > 0 {
-			g.failovers.Add(1)
-		}
-		return
-	}
-	g.noBackend.Add(1)
-	obs.ReplyErr(w, http.StatusServiceUnavailable, "2", "no live backend for shard %q", key)
+	g.proxy(w, r, body, fmt.Sprintf("shard %q", key), func() (*backend, bool, bool) { return g.routeShard(key) })
 }
 
 // handleStateless proxies endpoints with no shard affinity (/v1/attest,
@@ -443,26 +405,61 @@ func (g *Gateway) handleStateless(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	g.proxy(w, r, nil, "", func() (*backend, bool, bool) { return g.nextUp(), false, false })
+}
 
+// proxy forwards r to the backend pick chooses, as routeShard does (nil
+// when none is live). A request may need several attempts: the chosen
+// backend can die between the probe and the proxy, and retrying is safe
+// only on dial-level errors (the backend never saw the request). what
+// names the shard in 503 messages ("" for none).
+func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, body []byte, what string, pick func() (b *backend, held, failover bool)) {
+	noBackend := "no live backend"
+	if what != "" {
+		noBackend += " for " + what
+	}
 	for attempt := 0; attempt <= len(g.backends); attempt++ {
-		b := g.nextUp()
-		if b == nil {
-			g.noBackend.Add(1)
-			obs.ReplyErr(w, http.StatusServiceUnavailable, "2", "no live backend")
+		b, held, failover := pick()
+		if held {
+			g.holds.Add(1)
+			obs.ReplyErr(w, http.StatusServiceUnavailable, "1", "%s migrating; retry shortly", what)
 			return
 		}
-		if err := g.forwardTo(w, r, b, nil); err != nil {
+		if b == nil {
+			break
+		}
+		if err := g.forwardTo(w, r, b, body); err != nil {
 			if isDialError(err) {
-				continue
+				continue // backend demoted by observe(); re-route
 			}
 			g.badGateway.Add(1)
 			obs.ReplyErr(w, http.StatusBadGateway, "1", "backend %s: %v", b.name, err)
 			return
 		}
+		// Count the failover once per served request, not once per dial
+		// attempt — dead candidates walked on the way don't inflate it.
+		if failover {
+			g.failovers.Add(1)
+		}
 		return
 	}
 	g.noBackend.Add(1)
-	obs.ReplyErr(w, http.StatusServiceUnavailable, "2", "no live backend")
+	obs.ReplyErr(w, http.StatusServiceUnavailable, "2", "%s", noBackend)
+}
+
+// readBody reads a request body to forward, bounded by
+// server.MaxCheckpointBytes; on failure it has replied 400 or 413.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, server.MaxCheckpointBytes+1))
+	if err != nil {
+		obs.ReplyErr(w, http.StatusBadRequest, "", "reading body: %v", err)
+		return nil, false
+	}
+	if int64(len(body)) > server.MaxCheckpointBytes {
+		obs.ReplyErr(w, http.StatusRequestEntityTooLarge, "", "body larger than %d bytes", server.MaxCheckpointBytes)
+		return nil, false
+	}
+	return body, true
 }
 
 // handleAdminProxy proxies the state-management plane (/v1/checkpoint,
@@ -489,13 +486,8 @@ func (g *Gateway) handleAdminProxy(w http.ResponseWriter, r *http.Request) {
 		obs.ReplyErr(w, http.StatusNotFound, "", "unknown backend %q", name)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, server.MaxCheckpointBytes+1))
-	if err != nil {
-		obs.ReplyErr(w, http.StatusBadRequest, "", "reading body: %v", err)
-		return
-	}
-	if int64(len(body)) > server.MaxCheckpointBytes {
-		obs.ReplyErr(w, http.StatusRequestEntityTooLarge, "", "body larger than %d bytes", server.MaxCheckpointBytes)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	b := g.backends[idx]

@@ -45,19 +45,6 @@ func (p *Physical) region(secure bool) *region {
 	return &p.ins
 }
 
-// ExportPage copies one page's current backing words.
-func (p *Physical) ExportPage(secure bool, page uint32) (PageImage, error) {
-	r := p.region(secure)
-	if int(page) >= len(r.pages) {
-		return PageImage{}, fmt.Errorf("mem: export of page %d out of range", page)
-	}
-	img := PageImage{Secure: secure, Page: page}
-	if pg := r.pages[page]; pg != nil {
-		img.Words = *pg
-	}
-	return img, nil
-}
-
 // ImportPages replaces the entire memory content: both regions are zeroed,
 // then the given pages are written. Bookkeeping follows full-restore
 // semantics — every page version bumps, dirty bits clear, tamper poison
@@ -121,11 +108,6 @@ func (p *Physical) Digest() uint64 {
 	}
 	return h
 }
-
-// Generation returns the current delta-restore generation stamp. The
-// recorder uses it to decide whether a cached baseline export still
-// describes this memory (see internal/replay).
-func (p *Physical) Generation() uint64 { return p.gen }
 
 // DirtyPageList returns the page indices written since the last
 // Snapshot/Restore baseline, per region.

@@ -104,9 +104,9 @@ func TestRebaseMatchesFreshSnapshot(t *testing.T) {
 					continue
 				}
 				folds++
-				if p.DirtyPages() != 0 || golden.gen != p.Generation() || gen == p.Generation() {
+				if p.DirtyPages() != 0 || golden.gen != p.gen || gen == p.gen {
 					t.Fatalf("seed %d round %d: fold left dirty=%d gen=%d (old %d, live %d)",
-						seed, round, p.DirtyPages(), golden.gen, gen, p.Generation())
+						seed, round, p.DirtyPages(), golden.gen, gen, p.gen)
 				}
 				if p.RestoreStats() != before {
 					t.Fatal("fold counted as a snapshot or restore")
@@ -164,7 +164,7 @@ func TestImportPagesRejectsBeforeWriting(t *testing.T) {
 	randomDirty(t, p, r, 40)
 
 	wantIns, wantSec := flat(p.ins.pages), flat(p.sec.pages)
-	gen := p.Generation()
+	gen := p.gen
 	dIns, dSec := p.DirtyPageList()
 	stats := p.RestoreStats()
 
@@ -179,8 +179,8 @@ func TestImportPagesRejectsBeforeWriting(t *testing.T) {
 	if !slices.Equal(flat(p.ins.pages), wantIns) || !slices.Equal(flat(p.sec.pages), wantSec) {
 		t.Fatal("rejected import changed memory")
 	}
-	if p.Generation() != gen {
-		t.Fatalf("rejected import moved the generation %d -> %d", gen, p.Generation())
+	if p.gen != gen {
+		t.Fatalf("rejected import moved the generation %d -> %d", gen, p.gen)
 	}
 	gIns, gSec := p.DirtyPageList()
 	if !slices.Equal(gIns, dIns) || !slices.Equal(gSec, dSec) {

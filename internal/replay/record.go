@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/kapi"
-	"repro/internal/mem"
 	"repro/komodo"
 )
 
@@ -23,40 +22,12 @@ func GlobalStats() (recorded, replayed, diverged uint64) {
 	return stats.recorded.Load(), stats.replayed.Load(), stats.diverged.Load()
 }
 
-// Baseline caches one full memory export so that back-to-back recordings
-// on the same worker can start from a dirty-page delta instead of scanning
-// all of RAM — the "golden snapshot + delta" fast path. It is only a cache:
-// traces are always self-contained.
-type Baseline struct {
-	gen      uint64
-	restores mem.RestoreStats
-	pages    []mem.PageImage
-	index    map[[2]uint32]int // {secure, page} → index in pages
-}
-
-func baselineKey(secure bool, page uint32) [2]uint32 {
-	s := uint32(0)
-	if secure {
-		s = 1
-	}
-	return [2]uint32{s, page}
-}
-
-// valid reports whether the cached export still describes phys: nothing may
-// have re-baselined or restored the memory since capture (writes are fine —
-// they stay visible in the dirty bits we overlay).
-func (b *Baseline) valid(phys *mem.Physical) bool {
-	return b != nil && b.pages != nil &&
-		b.gen == phys.Generation() && b.restores == phys.RestoreStats()
-}
-
 // Recorder captures one span of execution on a live system. It implements
 // nwos.Tap; between Start and Stop every boundary operation is appended to
 // the growing trace.
 type Recorder struct {
 	sys   *komodo.System
 	trace *Trace
-	base  *Baseline
 	done  bool
 }
 
@@ -64,62 +35,13 @@ type Recorder struct {
 // first so the recorded span is self-contained (a replayed board starts
 // with an empty TLB; flushing makes the recorded run start from the same
 // point — semantically invisible, it can only add a few table walks).
-// baseline may be nil; when provided it is consulted and refreshed, making
-// repeated recordings on the same worker start from a dirty-page delta.
+// The trace starts from a full memory export, which walks only the pages
+// ever written.
 //
 // Only one recorder may be active on a system at a time; Stop detaches it.
-func StartRecording(sys *komodo.System, traceID, endpoint string, baseline *Baseline) (*Recorder, error) {
+func StartRecording(sys *komodo.System, traceID, endpoint string) *Recorder {
 	m := sys.Machine()
 	m.TLB.Flush()
-
-	var pages []mem.PageImage
-	if baseline.valid(m.Phys) {
-		// Overlay every page written since the baseline's capture onto a
-		// copy of the cached export. Dirty bits are relative to the last
-		// memory re-baselining event, which (by validity) predates the
-		// cache too, so the dirty set covers everything that can differ.
-		byKey := make(map[[2]uint32]int, len(baseline.index))
-		pages = make([]mem.PageImage, len(baseline.pages))
-		copy(pages, baseline.pages)
-		for k, i := range baseline.index {
-			byKey[k] = i
-		}
-		ins, sec := m.Phys.DirtyPageList()
-		overlay := func(secure bool, list []uint32) error {
-			for _, pg := range list {
-				img, err := m.Phys.ExportPage(secure, pg)
-				if err != nil {
-					return err
-				}
-				if i, ok := byKey[baselineKey(secure, pg)]; ok {
-					pages[i] = img
-				} else {
-					byKey[baselineKey(secure, pg)] = len(pages)
-					pages = append(pages, img)
-				}
-			}
-			return nil
-		}
-		if err := overlay(false, ins); err != nil {
-			return nil, err
-		}
-		if err := overlay(true, sec); err != nil {
-			return nil, err
-		}
-	} else {
-		pages = m.Phys.ExportPages()
-		if baseline != nil {
-			baseline.gen = m.Phys.Generation()
-			baseline.restores = m.Phys.RestoreStats()
-			baseline.pages = make([]mem.PageImage, len(pages))
-			copy(baseline.pages, pages)
-			baseline.index = make(map[[2]uint32]int, len(pages))
-			for i, pg := range pages {
-				baseline.index[baselineKey(pg.Secure, pg.Page)] = i
-			}
-		}
-	}
-
 	r := &Recorder{
 		sys: sys,
 		trace: &Trace{
@@ -129,12 +51,11 @@ func StartRecording(sys *komodo.System, traceID, endpoint string, baseline *Base
 				Endpoint: endpoint,
 			},
 			Start:      m.ExportState(),
-			StartPages: pages,
+			StartPages: m.Phys.ExportPages(),
 		},
-		base: baseline,
 	}
 	sys.OS().SetTap(r)
-	return r, nil
+	return r
 }
 
 // Stop detaches the recorder and finalises the trace.
@@ -202,10 +123,7 @@ func (r *Recorder) TapScheduleIRQ(n int64) {
 // RecordFunc records fn's boundary operations on sys and returns the trace
 // (convenience for tests and tools).
 func RecordFunc(sys *komodo.System, traceID, endpoint string, fn func() error) (*Trace, error) {
-	rec, err := StartRecording(sys, traceID, endpoint, nil)
-	if err != nil {
-		return nil, err
-	}
+	rec := StartRecording(sys, traceID, endpoint)
 	fnErr := fn()
 	t := rec.Stop()
 	if fnErr != nil {

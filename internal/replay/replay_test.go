@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -71,10 +72,7 @@ func record(t testing.TB, seed uint64, opts ...komodo.Option) *replay.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := replay.StartRecording(sys, "t-test", "test", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := replay.StartRecording(sys, "t-test", "test")
 	workload(t, sys)
 	return rec.Stop()
 }
@@ -188,44 +186,52 @@ func TestReplayDetectsTamper(t *testing.T) {
 	}
 }
 
-// TestBaselineFastPath checks that repeated recordings through a shared
-// Baseline still produce correct self-contained traces.
-func TestBaselineFastPath(t *testing.T) {
-	sys, err := komodo.New(komodo.WithSeed(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base replay.Baseline
-	for round := 0; round < 3; round++ {
-		rec, err := replay.StartRecording(sys, "t-base", "test", &base)
+// replaysBothWays replays trace with the block cache on and off; both
+// must be bit-identical to the recording.
+func replaysBothWays(t *testing.T, name string, trace *replay.Trace) {
+	t.Helper()
+	for _, noBlock := range []bool{false, true} {
+		res, err := replay.Replay(trace, func(bc *komodo.BootConfig) { bc.NoBlockCache = noBlock })
 		if err != nil {
 			t.Fatal(err)
-		}
-		adder := load(t, sys, kasm.AddArgs())
-		if res, err := adder.Run(uint32(round), 10); err != nil || res.Value != uint32(round)+10 {
-			t.Fatalf("round %d: %v %+v", round, err, res)
-		}
-		trace := rec.Stop()
-		res, err := replay.Replay(trace)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
 		}
 		if !res.OK() {
-			t.Fatalf("round %d diverged:\n%s", round, replay.RenderResult(res))
-		}
-		if err := adder.Destroy(); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s (block cache off=%v) diverged:\n%s", name, noBlock, replay.RenderResult(res))
 		}
 	}
 }
 
-// TestRecordAcrossRebase: a notary sign is recorded through a shared
-// Baseline, the notary is checkpointed and the golden snapshot rebased
-// in place, and a second sign is recorded through the same Baseline. The
-// rebase burns the memory generation, so the second trace must start
-// from a full export of the rebased memory, not the first capture with
-// an (emptied) dirty overlay, and both traces must replay bit-identically
-// with the block cache on and off.
+// TestBackToBackRecordings records consecutive spans on one board with no
+// restore between them: each trace must start from a full export of the
+// memory live at its start, and replay bit-identically.
+func TestBackToBackRecordings(t *testing.T) {
+	sys, err := komodo.New(komodo.WithSeed(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		live := sys.Machine().Phys.ExportPages()
+		rec := replay.StartRecording(sys, "t-back", "test")
+		adder := load(t, sys, kasm.AddArgs())
+		if res, err := adder.Run(uint32(round), 10); err != nil || res.Value != uint32(round)+10 {
+			t.Fatalf("round %d: %v %+v", round, err, res)
+		}
+		if err := adder.Destroy(); err != nil {
+			t.Fatal(err)
+		}
+		trace := rec.Stop()
+		if !reflect.DeepEqual(trace.StartPages, live) {
+			t.Fatalf("round %d: trace does not start from a full export of live memory", round)
+		}
+		replaysBothWays(t, fmt.Sprintf("round %d", round), trace)
+	}
+}
+
+// TestRecordAcrossRebase: a notary sign is recorded, the notary is
+// checkpointed and the golden snapshot rebased in place, and a second
+// sign is recorded. Both traces must start from a full export of the
+// memory live at their start and replay bit-identically with the block
+// cache on and off.
 func TestRecordAcrossRebase(t *testing.T) {
 	sys, err := komodo.New(komodo.WithSeed(5))
 	if err != nil {
@@ -233,14 +239,10 @@ func TestRecordAcrossRebase(t *testing.T) {
 	}
 	notary := load(t, sys, kasm.NotaryGuest(1))
 	golden := sys.Snapshot()
-	var base replay.Baseline
 	sign := func(want uint32) *replay.Trace {
 		t.Helper()
 		live := sys.Machine().Phys.ExportPages()
-		rec, err := replay.StartRecording(sys, "t-rebase", "notary", &base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := replay.StartRecording(sys, "t-rebase", "notary")
 		if err := notary.WriteShared(0, 0, make([]uint32, 16)); err != nil {
 			t.Fatal(err)
 		}
@@ -261,15 +263,6 @@ func TestRecordAcrossRebase(t *testing.T) {
 		t.Fatal("rebase of the boot-time golden fell back")
 	}
 	second := sign(2)
-	for i, trace := range []*replay.Trace{first, second} {
-		for _, noBlock := range []bool{false, true} {
-			res, err := replay.Replay(trace, func(bc *komodo.BootConfig) { bc.NoBlockCache = noBlock })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.OK() {
-				t.Fatalf("trace %d (block cache off=%v) diverged:\n%s", i+1, noBlock, replay.RenderResult(res))
-			}
-		}
-	}
+	replaysBothWays(t, "trace 1", first)
+	replaysBothWays(t, "trace 2", second)
 }

@@ -113,10 +113,8 @@ type Server struct {
 	tierLat *obs.LatencyVec   // wall-clock latency per (tier, outcome)
 
 	// Record/replay state (RecordDir mode): finished-but-unpersisted
-	// traces keyed by trace id, and one memory-export baseline per worker
-	// so back-to-back recordings start from a dirty-page delta.
+	// traces keyed by trace id.
 	recordings sync.Map // trace id → *replay.Trace
-	baselines  sync.Map // worker id → *replay.Baseline
 }
 
 // New builds the server around a pool.
@@ -304,19 +302,13 @@ func (s *Server) withWorkerOpts(w http.ResponseWriter, r *http.Request, admin bo
 }
 
 // startRecording begins a replay recording for the request when RecordDir
-// mode is on. A recording failure downgrades to "not recorded" (noted on
-// the trace) rather than failing the request.
+// mode is on; the "record" span times the start-state capture.
 func (s *Server) startRecording(tr *obs.Trace, wk *pool.Worker, endpoint string) *replay.Recorder {
 	if s.cfg.RecordDir == "" || tr == nil {
 		return nil
 	}
-	bi, _ := s.baselines.LoadOrStore(wk.ID(), &replay.Baseline{})
 	sp := tr.StartSpan("record")
-	rec, err := replay.StartRecording(wk.System(), tr.ID().String(), endpoint, bi.(*replay.Baseline))
-	if err != nil {
-		sp.EndDetail("error: " + err.Error())
-		return nil
-	}
+	rec := replay.StartRecording(wk.System(), tr.ID().String(), endpoint)
 	sp.End()
 	return rec
 }

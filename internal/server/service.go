@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"repro/internal/batch"
 	"repro/internal/kasm"
@@ -59,13 +60,17 @@ const MaxDocBytes = NotarySharedPages * 4096
 // from any worker.
 func Blueprint(seed uint64, opts ...komodo.Option) pool.BootFunc {
 	return func() (*komodo.System, any, error) {
+		imgs, err := guestImages()
+		if err != nil {
+			return nil, nil, err
+		}
 		sys, err := komodo.New(append([]komodo.Option{komodo.WithSeed(seed), komodo.WithTelemetry()}, opts...)...)
 		if err != nil {
 			return nil, nil, err
 		}
 		st := &WorkerState{}
 
-		if st.QE, err = load(sys, kasm.QuotingEnclave()); err != nil {
+		if st.QE, err = sys.LoadEnclave(imgs.qe); err != nil {
 			return nil, nil, fmt.Errorf("quoting enclave: %w", err)
 		}
 		if res, err := st.QE.Run(0); err != nil || res.Value != 1 {
@@ -81,24 +86,41 @@ func Blueprint(seed uint64, opts ...komodo.Option) pool.BootFunc {
 		}
 		st.QuoteKey = key
 
-		if st.Attester, err = load(sys, kasm.AttestShared()); err != nil {
+		if st.Attester, err = sys.LoadEnclave(imgs.attester); err != nil {
 			return nil, nil, fmt.Errorf("attester: %w", err)
 		}
-		// The two-mode batch notary: classic single-document signs and
-		// Merkle-root batch signs share one counter stream (docs/BATCHING.md).
-		if st.Notary, err = load(sys, kasm.BatchNotaryGuest(NotarySharedPages)); err != nil {
+		if st.Notary, err = sys.LoadEnclave(imgs.notary); err != nil {
 			return nil, nil, fmt.Errorf("notary: %w", err)
 		}
 		return sys, st, nil
 	}
 }
 
-func load(sys *komodo.System, g kasm.Guest) (*komodo.Enclave, error) {
-	nimg, err := g.Image()
-	if err != nil {
-		return nil, err
+// serviceImages are the three enclave images every serving board loads.
+type serviceImages struct{ qe, attester, notary komodo.Image }
+
+// guestImages assembles the serving guests once per process. Loading an
+// enclave only reads its image, so every board shares these.
+var guestImages = sync.OnceValues(assembleGuests)
+
+func assembleGuests() (imgs serviceImages, err error) {
+	if imgs.qe, err = assemble(kasm.QuotingEnclave()); err != nil {
+		return imgs, fmt.Errorf("quoting enclave: %w", err)
 	}
-	return sys.LoadEnclave(komodo.FromNWOSImage(nimg))
+	if imgs.attester, err = assemble(kasm.AttestShared()); err != nil {
+		return imgs, fmt.Errorf("attester: %w", err)
+	}
+	// The two-mode batch notary: classic single-document signs and
+	// Merkle-root batch signs share one counter stream (docs/BATCHING.md).
+	if imgs.notary, err = assemble(kasm.BatchNotaryGuest(NotarySharedPages)); err != nil {
+		return imgs, fmt.Errorf("notary: %w", err)
+	}
+	return imgs, nil
+}
+
+func assemble(g kasm.Guest) (komodo.Image, error) {
+	nimg, err := g.Image()
+	return komodo.FromNWOSImage(nimg), err
 }
 
 // HealthCheck is a pool health check for Blueprint-booted workers: after
