@@ -22,7 +22,7 @@ type output struct {
 	SGX         []eval.SGXRow      `json:"sgx,omitempty"`
 	Figure5     []eval.Fig5Point   `json:"figure5,omitempty"`
 	Table2      []eval.LocRow      `json:"table2,omitempty"`
-	PaperTable2 []eval.PaperRow    `json:"paper_table2,omitempty"`
+	PaperTable2 []eval.LocRow      `json:"paper_table2,omitempty"`
 	Perf        *eval.PerfReport   `json:"perf,omitempty"`
 }
 
@@ -143,20 +143,8 @@ func main() {
 		fmt.Println()
 	}
 	if out.Table2 != nil {
-		fmt.Println("Table 2 analogue: line counts of this reproduction")
-		fmt.Printf("  %-52s %8s %8s %8s\n", "Component", "spec", "impl", "proof")
-		var ts, ti, tp int
-		for _, r := range out.Table2 {
-			fmt.Printf("  %-52s %8d %8d %8d\n", r.Component, r.Spec, r.Impl, r.Proof)
-			ts += r.Spec
-			ti += r.Impl
-			tp += r.Proof
-		}
-		fmt.Printf("  %-52s %8d %8d %8d\n", "Total", ts, ti, tp)
-		fmt.Println("\nPaper's Table 2 (for comparison):")
-		fmt.Printf("  %-52s %8s %8s %8s\n", "Component", "spec", "impl", "proof")
-		for _, r := range out.PaperTable2 {
-			fmt.Printf("  %-52s %8d %8d %8d\n", r.Component, r.Spec, r.Impl, r.Proof)
+		if err := eval.WriteTable2(os.Stdout, *root); err != nil {
+			fail(err)
 		}
 	}
 }

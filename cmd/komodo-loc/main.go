@@ -1,7 +1,7 @@
 // komodo-loc reproduces the paper's Table 2: a line-count breakdown of the
 // system by role (specification / implementation / proof-analog), printed
-// next to the paper's published counts. Run from the module root, or pass
-// -root.
+// next to the paper's published counts, with the trusted core's non-test
+// line count. Run from the module root, or pass -root.
 package main
 
 import (
@@ -15,34 +15,8 @@ import (
 func main() {
 	root := flag.String("root", ".", "module root to count")
 	flag.Parse()
-
-	rows, err := eval.CountLines(*root)
-	if err != nil {
+	if err := eval.WriteTable2(os.Stdout, *root); err != nil {
 		fmt.Fprintln(os.Stderr, "komodo-loc:", err)
 		os.Exit(1)
 	}
-	fmt.Println("Line counts of this reproduction (non-blank, non-comment lines):")
-	fmt.Printf("%-56s %8s %8s %8s %8s\n", "Component", "spec", "impl", "proof", "total")
-	var ts, ti, tp int
-	for _, r := range rows {
-		fmt.Printf("%-56s %8d %8d %8d %8d\n", r.Component, r.Spec, r.Impl, r.Proof, r.Spec+r.Impl+r.Proof)
-		ts += r.Spec
-		ti += r.Impl
-		tp += r.Proof
-	}
-	fmt.Printf("%-56s %8d %8d %8d %8d\n", "Total", ts, ti, tp, ts+ti+tp)
-
-	fmt.Println("\nPaper's Table 2 (Dafny/Vale Komodo, for comparison):")
-	fmt.Printf("%-56s %8s %8s %8s\n", "Component", "spec", "impl", "proof")
-	var ps, pi, pp int
-	for _, r := range eval.PaperTable2Rows() {
-		fmt.Printf("%-56s %8d %8d %8d\n", r.Component, r.Spec, r.Impl, r.Proof)
-		ps += r.Spec
-		pi += r.Impl
-		pp += r.Proof
-	}
-	fmt.Printf("%-56s %8d %8d %8d\n", "Total", ps, pi, pp)
-	fmt.Println("\nRoles: spec = trusted models (machine model, PageDB, functional spec);")
-	fmt.Println("impl = monitor, assembler, enclave programs; proof = refinement +")
-	fmt.Println("noninterference harnesses and the entire test suite.")
 }

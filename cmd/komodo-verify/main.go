@@ -297,7 +297,7 @@ func refinementTraces(trials, steps int, seed int64) error {
 		}
 		chk := refine.New(plat.Monitor)
 		os := nwos.New(plat.Machine, chk, plat.Monitor.NPages())
-		p := plat.Monitor.SpecParams()
+		p := refine.SpecParams(plat.Monitor)
 		for s := 0; s < steps; s++ {
 			req := randomSMC(rnd, p)
 			if req.Call == kapi.SMCMapSecure && req.Contents != nil {

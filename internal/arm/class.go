@@ -64,14 +64,6 @@ var classOf = func() [numOps]InsnClass {
 	return t
 }()
 
-// ClassOf returns the class of an opcode.
-func ClassOf(op Op) InsnClass {
-	if op < numOps {
-		return classOf[op]
-	}
-	return ClassALU
-}
-
 // InsnClassCounts returns the per-class retirement counters. The slice
 // indexes by InsnClass; the counts sum to Retired().
 func (m *Machine) InsnClassCounts() [NumInsnClasses]uint64 { return m.insnClass }

@@ -78,7 +78,7 @@ func Boot(cfg Config) (*Platform, error) {
 	m.SetCPSR(arm.PSR{Mode: arm.ModeSvc, I: false, F: false})
 	m.SetPC(layout.InsecureBase)
 	if cfg.Telemetry != nil {
-		mon.SetTelemetry(cfg.Telemetry)
+		mon.SetObserver(cfg.Telemetry)
 	}
 	return &Platform{Machine: m, Monitor: mon, Telemetry: cfg.Telemetry}, nil
 }

@@ -164,6 +164,9 @@ func TestCountLines(t *testing.T) {
 	if total < 5000 {
 		t.Fatalf("implausible total line count %d", total)
 	}
+	if core, err := CoreLines("../.."); err != nil || core < 1000 {
+		t.Fatalf("trusted-core line count %d, %v", core, err)
+	}
 	for _, want := range []string{
 		"ARM/TrustZone machine model",
 		"Komodo specification (PageDB, SMC/SVC spec)",

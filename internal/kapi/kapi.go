@@ -1,8 +1,9 @@
 // Package kapi defines the Komodo monitor's ABI: secure monitor call (SMC)
-// and supervisor call (SVC) numbers, error codes, and the Mapping word
-// encoding. It corresponds to the API of the paper's Table 1, shared
-// between the functional specification (internal/spec), the concrete
-// monitor (internal/monitor), and clients.
+// and supervisor call (SVC) numbers, error codes, the Mapping word
+// encoding, and what the monitor reports of its own execution (trace.go).
+// It corresponds to the API of the paper's Table 1, shared between the
+// functional specification (internal/spec), the concrete monitor
+// (internal/monitor), and clients.
 //
 // Calling convention (mirroring the prototype's register ABI):
 //

@@ -83,3 +83,24 @@ func TestCallNumbersDistinct(t *testing.T) {
 		seen[c] = true
 	}
 }
+
+// TestEventKindString: every execution-trace kind has its own name, so a
+// refinement failure never prints a kind as a bare number.
+func TestEventKindString(t *testing.T) {
+	for _, tc := range []struct {
+		k    EventKind
+		want string
+	}{
+		{EventSVC, "svc"},
+		{EventExit, "exit"},
+		{EventIRQ, "irq"},
+		{EventFIQ, "fiq"},
+		{EventFault, "fault"},
+		{EventFaultHandled, "fault-handled"},
+		{EventFaultHandled + 1, "EventKind(6)"},
+	} {
+		if got := tc.k.String(); got != tc.want {
+			t.Errorf("EventKind(%d).String() = %q, want %q", int(tc.k), got, tc.want)
+		}
+	}
+}

@@ -24,15 +24,27 @@ type PageImage struct {
 // ExportPages returns every non-zero page of both regions, insecure region
 // first, ascending page order. Together with the implicit all-zero
 // remainder this is the complete memory content: ImportPages(ExportPages())
-// reproduces it bit-identically on a same-layout Physical.
+// reproduces it bit-identically on a same-layout Physical. The result is
+// one allocation, sized by the allocated pages.
 func (p *Physical) ExportPages() []PageImage {
-	var out []PageImage
+	n := 0
+	for _, secure := range []bool{false, true} {
+		for _, pg := range p.region(secure).pages {
+			if pg != nil {
+				n++
+			}
+		}
+	}
+	out := make([]PageImage, 0, n)
 	for _, secure := range []bool{false, true} {
 		for i, pg := range p.region(secure).pages {
 			if pg != nil && !allZero(pg[:]) {
 				out = append(out, PageImage{Secure: secure, Page: uint32(i), Words: *pg})
 			}
 		}
+	}
+	if len(out) == 0 {
+		return nil // an all-zero memory exports nil
 	}
 	return out
 }

@@ -392,6 +392,38 @@ func BenchmarkDigest(b *testing.B) {
 	}
 }
 
+// TestExportPagesAllocatesOnce: exporting a boot-like memory is a single
+// allocation, and the images come insecure region first, in page order,
+// each equal to its backing page. Zero pages are left out, and a memory
+// with none but zero pages exports nil.
+func TestExportPagesAllocatesOnce(t *testing.T) {
+	p := bootLikeMem(t)
+	if allocs := testing.AllocsPerRun(20, func() { sinkPages = p.ExportPages() }); allocs != 1 {
+		t.Fatalf("ExportPages allocated %.1f objects/op, want 1", allocs)
+	}
+	l := p.Layout()
+	p.Write(l.SecureBase+2*PageSize+8, 1, Secure) // allocates a page...
+	p.Write(l.SecureBase+2*PageSize+8, 0, Secure) // ...that ends up zero
+	got := p.ExportPages()
+	if len(got) != 26 {
+		t.Fatalf("exported %d pages, want 26", len(got))
+	}
+	for i, img := range got {
+		if i > 0 && !(got[i-1].Secure == img.Secure && got[i-1].Page < img.Page || !got[i-1].Secure && img.Secure) {
+			t.Fatalf("image %d (%v, page %d) out of order", i, img.Secure, img.Page)
+		}
+		if pg := p.region(img.Secure).pages[img.Page]; pg == nil || img.Words != *pg {
+			t.Fatalf("image %d differs from its backing page", i)
+		}
+	}
+	empty := newSmallMem(t)
+	empty.Write(empty.Layout().InsecureBase, 1, Normal)
+	empty.Write(empty.Layout().InsecureBase, 0, Normal)
+	if got := empty.ExportPages(); got != nil {
+		t.Fatalf("zero memory exported %d pages, want nil", len(got))
+	}
+}
+
 func BenchmarkExportPages(b *testing.B) {
 	p := bootLikeMem(b)
 	b.ReportAllocs()
@@ -408,7 +440,7 @@ var (
 
 // bootLikeMem is a default-layout Physical with as many written pages as
 // a booted serving board: 26, spread over both regions.
-func bootLikeMem(b *testing.B) *Physical {
+func bootLikeMem(b testing.TB) *Physical {
 	p, err := NewPhysical(DefaultLayout())
 	if err != nil {
 		b.Fatal(err)

@@ -52,7 +52,6 @@ const (
 	PteExec  uint32 = 1 << 2
 	PteNS    uint32 = 1 << 3
 
-	pteAttrMask = PteValid | PteWrite | PteExec | PteNS
 	pteBaseMask = ^uint32(mem.PageSize - 1)
 )
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/kapi"
 	"repro/internal/mem"
 	"repro/internal/pagedb"
-	"repro/internal/spec"
 )
 
 // smcEnter implements Enter and Resume: the only SMCs involving enclave
@@ -111,7 +110,7 @@ func (k *Monitor) smcEnter(thrPg, a1, a2, a3 uint32, resume bool) (kapi.Err, uin
 			if call == kapi.SVCExit {
 				retval := m.Reg(arm.R1)
 				k.tel.ObserveSVC(call, uint32(kapi.ErrSuccess), 0)
-				k.recordEvent(spec.ExecEvent{Kind: spec.EventExit, ExitVal: retval})
+				k.recordEvent(kapi.ExecEvent{Kind: kapi.EventExit, ExitVal: retval})
 				// "the enclave's registers are not saved, permitting it
 				// to be re-entered" (§4).
 				k.restoreOSContext(&osCtx)
@@ -123,8 +122,8 @@ func (k *Monitor) smcEnter(thrPg, a1, a2, a3 uint32, resume bool) (kapi.Err, uin
 				// through to the generic dispatch and is rejected.)
 				k.tel.ObserveSVC(call, uint32(kapi.ErrSuccess), 0)
 				k.thSetInHandler(th, false)
-				k.recordEvent(spec.ExecEvent{
-					Kind: spec.EventSVC, Call: call,
+				k.recordEvent(kapi.ExecEvent{
+					Kind: kapi.EventSVC, Call: call,
 					Args: k.readSVCArgs(), Res: kapi.ErrSuccess,
 				})
 				// The return path runs from monitor mode, like Resume.
@@ -142,7 +141,7 @@ func (k *Monitor) smcEnter(thrPg, a1, a2, a3 uint32, resume bool) (kapi.Err, uin
 			svcStart := m.Cyc.Total()
 			errc, vals := k.dispatchSVC(th, as, call, args)
 			k.tel.ObserveSVC(call, uint32(errc), m.Cyc.Total()-svcStart)
-			k.recordEvent(spec.ExecEvent{Kind: spec.EventSVC, Call: call, Args: args, Res: errc, Vals: vals})
+			k.recordEvent(kapi.ExecEvent{Kind: kapi.EventSVC, Call: call, Args: args, Res: errc, Vals: vals})
 			m.SetReg(arm.R0, uint32(errc))
 			for i := 0; i < 8; i++ {
 				m.SetReg(arm.Reg(1+i), vals[i])
@@ -157,12 +156,12 @@ func (k *Monitor) smcEnter(thrPg, a1, a2, a3 uint32, resume bool) (kapi.Err, uin
 			k.thSetEntered(th, true)
 			m.Cyc.Charge(cycles.UserRegSave)
 			exit := kapi.ExitIRQ
-			kind := spec.EventIRQ
+			kind := kapi.EventIRQ
 			if tr.Kind == arm.TrapFIQ {
 				exit = kapi.ExitFIQ
-				kind = spec.EventFIQ
+				kind = kapi.EventFIQ
 			}
-			k.recordEvent(spec.ExecEvent{Kind: kind})
+			k.recordEvent(kapi.ExecEvent{Kind: kind})
 			k.restoreOSContext(&osCtx)
 			return kapi.ErrInterrupted, exit, nil
 
@@ -184,7 +183,7 @@ func (k *Monitor) smcEnter(thrPg, a1, a2, a3 uint32, resume bool) (kapi.Err, uin
 				k.saveUserCtx(th) // interrupted context, incl. the fault PC
 				k.thSetInHandler(th, true)
 				m.Cyc.Charge(cycles.UserRegSave)
-				k.recordEvent(spec.ExecEvent{Kind: spec.EventFaultHandled, FaultType: exit})
+				k.recordEvent(kapi.ExecEvent{Kind: kapi.EventFaultHandled, FaultType: exit})
 				// Upcall register state: exception type and faulting
 				// address (the enclave's own information), user SP
 				// preserved for the handler's stack, everything else
@@ -207,7 +206,7 @@ func (k *Monitor) smcEnter(thrPg, a1, a2, a3 uint32, resume bool) (kapi.Err, uin
 			// (but no other information, to avoid side-channel leaks)"
 			// (§4). The monitor must not forward the faulting address.
 			k.thSetEntered(th, false)
-			k.recordEvent(spec.ExecEvent{Kind: spec.EventFault, FaultType: exit})
+			k.recordEvent(kapi.ExecEvent{Kind: kapi.EventFault, FaultType: exit})
 			k.restoreOSContext(&osCtx)
 			return kapi.ErrFault, exit, nil
 
@@ -222,7 +221,7 @@ func (k *Monitor) smcEnter(thrPg, a1, a2, a3 uint32, resume bool) (kapi.Err, uin
 	}
 }
 
-func (k *Monitor) recordEvent(ev spec.ExecEvent) {
+func (k *Monitor) recordEvent(ev kapi.ExecEvent) {
 	if k.recording {
 		k.trace = append(k.trace, ev)
 	}

@@ -48,26 +48,3 @@ func TestSMCHelperRequiresNormalWorldPrivileged(t *testing.T) {
 		t.Fatal("SMC helper accepted five arguments")
 	}
 }
-
-func TestSpecParamsMatchPlatform(t *testing.T) {
-	plat, err := board.Boot(board.Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := plat.Monitor.SpecParams()
-	l := plat.Machine.Phys.Layout()
-	if p.NPages != plat.Monitor.NPages() {
-		t.Fatal("NPages mismatch")
-	}
-	if p.InsecureBase != l.InsecureBase || p.InsecureSize != l.InsecureSize {
-		t.Fatal("insecure region mismatch")
-	}
-	if p.AttestKey != plat.Monitor.AttestKey() {
-		t.Fatal("attest key mismatch")
-	}
-	// The replay Rand is empty when no SMC has drawn randomness: it
-	// returns zero rather than panicking.
-	if p.Rand() != 0 {
-		t.Fatal("empty RNG replay should return 0")
-	}
-}

@@ -98,25 +98,6 @@ const (
 	csStopped = 2
 )
 
-func concreteType(t pagedb.PageType) uint32 {
-	switch t {
-	case pagedb.TypeAddrspace:
-		return ctAddrspace
-	case pagedb.TypeThread:
-		return ctThread
-	case pagedb.TypeL1PT:
-		return ctL1PT
-	case pagedb.TypeL2PT:
-		return ctL2PT
-	case pagedb.TypeData:
-		return ctData
-	case pagedb.TypeSpare:
-		return ctSpare
-	default:
-		return ctFree
-	}
-}
-
 func abstractType(ct uint32) pagedb.PageType {
 	switch ct {
 	case ctAddrspace:

@@ -10,8 +10,6 @@ import (
 	"repro/internal/pagedb"
 	"repro/internal/seal"
 	"repro/internal/sha2"
-	"repro/internal/spec"
-	"repro/internal/telemetry"
 )
 
 // Monitor is the concrete Komodo monitor instance bound to a machine.
@@ -35,7 +33,7 @@ type Monitor struct {
 
 	// recording state for the refinement harness.
 	recording bool
-	trace     []spec.ExecEvent
+	trace     []kapi.ExecEvent
 	rngTrace  []uint32
 
 	staticProfile bool
@@ -47,10 +45,10 @@ type Monitor struct {
 	smcStartCyc    uint64
 	LastEnterSetup uint64
 
-	// tel collects counters and trace events. Nil-receiver safe, so the
-	// uninstrumented monitor pays only a nil check; observations never
-	// charge simulated cycles (they must not perturb the cycle model).
-	tel *telemetry.Recorder
+	// tel receives counters and trace events (noObserver when nothing is
+	// attached); observations never charge simulated cycles (they must
+	// not perturb the cycle model).
+	tel kapi.Observer
 
 	// ckpt is storage the checkpoint SMC reuses from call to call.
 	ckpt ckptScratch
@@ -95,7 +93,7 @@ func Install(m *arm.Machine, cfg Config) (*Monitor, error) {
 		npages = 256
 	}
 	k := &Monitor{m: m, npages: npages, ExecBudget: 50_000_000,
-		staticProfile: cfg.StaticProfile, optimised: cfg.Optimised}
+		staticProfile: cfg.StaticProfile, optimised: cfg.Optimised, tel: noObserver{}}
 	if cfg.ExecBudget > 0 {
 		k.ExecBudget = cfg.ExecBudget
 	}
@@ -134,12 +132,17 @@ func Install(m *arm.Machine, cfg Config) (*Monitor, error) {
 	return k, nil
 }
 
-// SetTelemetry attaches a telemetry recorder. Pass nil to detach; a nil
-// recorder is a no-op on every observation path.
-func (k *Monitor) SetTelemetry(t *telemetry.Recorder) { k.tel = t }
+// SetObserver attaches a non-nil observer (a telemetry recorder); until
+// then observations are discarded.
+func (k *Monitor) SetObserver(o kapi.Observer) { k.tel = o }
 
-// Telemetry returns the attached recorder (nil if none).
-func (k *Monitor) Telemetry() *telemetry.Recorder { return k.tel }
+// noObserver discards every observation.
+type noObserver struct{}
+
+func (noObserver) ObserveSMC(uint32, [4]uint32, uint32, uint32, uint64, uint64) {}
+func (noObserver) ObserveSVC(uint32, uint32, uint64)                            {}
+func (noObserver) ObserveEnterSetup(bool, uint64)                               {}
+func (noObserver) ObservePageMove(uint32, uint32)                               {}
 
 // NPages returns the number of allocatable secure pages.
 func (k *Monitor) NPages() int { return k.npages }
@@ -151,43 +154,14 @@ func (k *Monitor) Machine() *arm.Machine { return k.m }
 // spec needs it to recompute MACs). Nothing in the OS model uses this.
 func (k *Monitor) AttestKey() [32]byte { return k.attestKey }
 
-// SealRoot exposes the sealing root to the verification harness and
-// offline tooling (komodo-ckpt) only. Nothing in the OS model uses this.
-func (k *Monitor) SealRoot() [32]byte { return k.sealRoot }
-
 // StaticProfile reports whether the SGXv1-style profile is active.
 func (k *Monitor) StaticProfile() bool { return k.staticProfile }
-
-// SpecParams builds the specification parameters matching this monitor
-// instance. Rand replays the RNG words recorded during the last SMC, so
-// refinement checking sees the same nondeterminism the implementation drew
-// (§6.3's shared seed).
-func (k *Monitor) SpecParams() spec.Params {
-	l := k.m.Phys.Layout()
-	replay := k.RNGTrace()
-	i := 0
-	return spec.Params{
-		NPages:        k.npages,
-		InsecureBase:  l.InsecureBase,
-		InsecureSize:  l.InsecureSize,
-		AttestKey:     k.attestKey,
-		StaticProfile: k.staticProfile,
-		Rand: func() uint32 {
-			if i >= len(replay) {
-				return 0
-			}
-			v := replay[i]
-			i++
-			return v
-		},
-	}
-}
 
 // SetRecording enables execution-trace recording for refinement checks.
 func (k *Monitor) SetRecording(on bool) { k.recording = on }
 
 // Trace returns the execution trace of the last Enter/Resume SMC.
-func (k *Monitor) Trace() []spec.ExecEvent { return append([]spec.ExecEvent(nil), k.trace...) }
+func (k *Monitor) Trace() []kapi.ExecEvent { return append([]kapi.ExecEvent(nil), k.trace...) }
 
 // RNGTrace returns the random words drawn during the last SMC.
 func (k *Monitor) RNGTrace() []uint32 { return append([]uint32(nil), k.rngTrace...) }
@@ -360,7 +334,7 @@ func (k *Monitor) readSVCArgs() [8]uint32 {
 // zeroPage zero-fills an enclave page, charging the Table 3 cost.
 func (k *Monitor) zeroPage(n pagedb.PageNr) {
 	k.zeroPageRaw(n)
-	k.tel.ObservePageMove(telemetry.MoveZeroFilled, uint32(n))
+	k.tel.ObservePageMove(kapi.MoveZeroFilled, uint32(n))
 }
 
 // zeroPageRaw is zeroPage without the telemetry classification, for

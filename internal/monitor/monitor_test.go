@@ -12,7 +12,6 @@ import (
 	"repro/internal/nwos"
 	"repro/internal/pagedb"
 	"repro/internal/refine"
-	"repro/internal/spec"
 )
 
 // world boots a platform and wires the OS model through the refinement
@@ -587,7 +586,7 @@ func TestExecutionTraceRecording(t *testing.T) {
 	if len(trace) != 2 {
 		t.Fatalf("trace length = %d, want 2 (MapData, Exit)", len(trace))
 	}
-	if trace[0].Kind != spec.EventSVC || trace[0].Call != kapi.SVCMapData {
+	if trace[0].Kind != kapi.EventSVC || trace[0].Call != kapi.SVCMapData {
 		t.Fatalf("event 0 = %+v", trace[0])
 	}
 	if trace[0].Args[0] != uint32(enc.Spares[0]) {
@@ -596,7 +595,7 @@ func TestExecutionTraceRecording(t *testing.T) {
 	if trace[0].Res != kapi.ErrSuccess {
 		t.Fatalf("MapData result recorded as %v", trace[0].Res)
 	}
-	if trace[1].Kind != spec.EventExit || trace[1].ExitVal != 0xfeed {
+	if trace[1].Kind != kapi.EventExit || trace[1].ExitVal != 0xfeed {
 		t.Fatalf("terminal = %+v", trace[1])
 	}
 	// Faults record the type.
@@ -605,7 +604,7 @@ func TestExecutionTraceRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace = w.plat.Monitor.Trace()
-	if len(trace) != 1 || trace[0].Kind != spec.EventFault || trace[0].FaultType != kapi.ExitDataAbort {
+	if len(trace) != 1 || trace[0].Kind != kapi.EventFault || trace[0].FaultType != kapi.ExitDataAbort {
 		t.Fatalf("fault trace = %+v", trace)
 	}
 	// A plain non-exec SMC clears the trace.

@@ -22,7 +22,6 @@ import (
 	"repro/internal/pagedb"
 	"repro/internal/seal"
 	"repro/internal/sha2"
-	"repro/internal/telemetry"
 )
 
 // insecureWindowOK extends insecureOK over a window of whole pages
@@ -289,7 +288,7 @@ func (k *Monitor) instantiateImage(img *seal.Image, pages []pagedb.PageNr) {
 				panic(fmt.Sprintf("monitor: restore data page: %v", err))
 			}
 			k.m.Cyc.Charge(cycles.PageCopy)
-			k.tel.ObservePageMove(telemetry.MoveToSecure, uint32(pg))
+			k.tel.ObservePageMove(kapi.MoveToSecure, uint32(pg))
 			k.pdSet(pg, ctData, as)
 		case pagedb.TypeSpare:
 			k.zeroPage(pg)

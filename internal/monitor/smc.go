@@ -10,7 +10,6 @@ import (
 	"repro/internal/mmu"
 	"repro/internal/pagedb"
 	"repro/internal/sha2"
-	"repro/internal/telemetry"
 )
 
 // HandleSMC is the monitor's top-level SMC handler. It must be called with
@@ -334,7 +333,7 @@ func (k *Monitor) smcMapSecure(asPg, dataPg uint32, m kapi.Mapping, contentAddr 
 	k.m.NotePTStore()
 	k.pdSet(data, ctData, as)
 	k.asAddRef(as, 1)
-	k.tel.ObservePageMove(telemetry.MoveToSecure, dataPg)
+	k.tel.ObservePageMove(kapi.MoveToSecure, dataPg)
 	return kapi.ErrSuccess, 0
 }
 
@@ -355,7 +354,7 @@ func (k *Monitor) smcMapInsecure(asPg uint32, m kapi.Mapping, target uint32) (ka
 	}
 	k.wr(slot, k.pteFor(target, m, true))
 	k.m.NotePTStore()
-	k.tel.ObservePageMove(telemetry.MoveInsecureShared, target/mem.PageSize)
+	k.tel.ObservePageMove(kapi.MoveInsecureShared, target/mem.PageSize)
 	return kapi.ErrSuccess, 0
 }
 
@@ -427,5 +426,5 @@ func (k *Monitor) smcRemove(pg uint32) (kapi.Err, uint32) {
 // next enclave that allocates it.
 func (k *Monitor) scrubPage(n pagedb.PageNr) {
 	k.zeroPageRaw(n)
-	k.tel.ObservePageMove(telemetry.MoveScrubbed, uint32(n))
+	k.tel.ObservePageMove(kapi.MoveScrubbed, uint32(n))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -166,19 +165,4 @@ func WriteRuntimeMetrics(p *PromWriter) {
 		Sample{Value: float64(ms.PauseTotalNs) / 1e9})
 	p.Gauge("process_uptime_seconds", "Seconds since the process started.",
 		Sample{Value: time.Since(processStart).Seconds()})
-}
-
-// SortedSamples builds a deterministic sample list from a string-keyed
-// map, labelling each value with labelKey.
-func SortedSamples(labelKey string, m map[string]uint64) []Sample {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Sample, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, Sample{Labels: L(labelKey, k), Value: float64(m[k])})
-	}
-	return out
 }

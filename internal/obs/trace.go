@@ -127,9 +127,6 @@ type TraceData struct {
 	Spans    []Span    `json:"spans"`
 }
 
-// Dur returns the trace's total wall-clock duration.
-func (td TraceData) Dur() time.Duration { return time.Duration(td.DurNS) }
-
 // Trace accumulates the span timeline of one request. All methods are safe
 // for concurrent use and safe on a nil receiver (a nil *Trace records
 // nothing), so instrumented layers never branch on "tracing enabled?".

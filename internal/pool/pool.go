@@ -104,9 +104,6 @@ func (w *Worker) State() any { return w.state }
 // Keep releases is only comparable within one (ID, boot, epoch) window.
 func (w *Worker) Epoch() int { return w.epoch }
 
-// Uses counts checkouts since the worker last booted.
-func (w *Worker) Uses() int { return w.uses }
-
 // Rebase makes the worker's current state its restore point and resets
 // the epoch counter. Call while the worker is checked out — e.g. after
 // sealing or restoring an enclave checkpoint — so OK releases rewind to

@@ -81,7 +81,7 @@ func (c *Checker) SMC(call uint32, args ...uint32) (kapi.Err, uint32, error) {
 		return gotErr, gotVal, c.fail(fmt.Errorf("refine: invariants violated after call %d: %w", call, err))
 	}
 
-	p := c.Mon.SpecParams()
+	p := SpecParams(c.Mon)
 	switch call {
 	case kapi.SMCEnter, kapi.SMCResume:
 		var thread pagedb.PageNr
@@ -118,7 +118,7 @@ func (c *Checker) SMC(call uint32, args ...uint32) (kapi.Err, uint32, error) {
 		// spec (sharing the concrete crypto and RNG replay) predicts its
 		// exact words. Compare them against what the monitor wrote.
 		if call == kapi.SMCCheckpoint && gotErr == kapi.ErrSuccess {
-			_, _, specBlob, _ := spec.Checkpoint(c.Mon.SpecParams(), before, pagedb.PageNr(args[0]), args[1], args[2])
+			_, _, specBlob, _ := spec.Checkpoint(SpecParams(c.Mon), before, pagedb.PageNr(args[0]), args[1], args[2])
 			got := c.snapshotWords(args[1], uint32(len(specBlob)), seal.MaxPayloadWords+seal.OverheadWords)
 			if len(got) != len(specBlob) {
 				return gotErr, gotVal, c.fail(fmt.Errorf(
@@ -133,6 +133,31 @@ func (c *Checker) SMC(call uint32, args ...uint32) (kapi.Err, uint32, error) {
 		}
 	}
 	return gotErr, gotVal, nil
+}
+
+// SpecParams builds the specification parameters matching mon, from what
+// the monitor exports: its page count, attestation key, profile and the
+// machine's memory layout. Rand replays the RNG words recorded during the
+// last SMC, so refinement checking sees the same nondeterminism the
+// implementation drew (§6.3's shared seed).
+func SpecParams(mon *monitor.Monitor) spec.Params {
+	l := mon.Machine().Phys.Layout()
+	replay := mon.RNGTrace()
+	return spec.Params{
+		NPages:        mon.NPages(),
+		InsecureBase:  l.InsecureBase,
+		InsecureSize:  l.InsecureSize,
+		AttestKey:     mon.AttestKey(),
+		StaticProfile: mon.StaticProfile(),
+		Rand: func() uint32 {
+			if len(replay) == 0 {
+				return 0
+			}
+			v := replay[0]
+			replay = replay[1:]
+			return v
+		},
+	}
 }
 
 func (c *Checker) fail(err error) error {

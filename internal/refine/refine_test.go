@@ -156,3 +156,29 @@ func TestEnterRelationCheckedEndToEnd(t *testing.T) {
 		t.Fatalf("failures = %d", chk.Failures)
 	}
 }
+
+func TestSpecParamsMatchPlatform(t *testing.T) {
+	plat, err := board.Boot(board.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := refine.SpecParams(plat.Monitor)
+	l := plat.Machine.Phys.Layout()
+	if p.NPages != plat.Monitor.NPages() {
+		t.Fatal("NPages mismatch")
+	}
+	if p.InsecureBase != l.InsecureBase || p.InsecureSize != l.InsecureSize {
+		t.Fatal("insecure region mismatch")
+	}
+	if p.AttestKey != plat.Monitor.AttestKey() {
+		t.Fatal("attest key mismatch")
+	}
+	if p.StaticProfile != plat.Monitor.StaticProfile() {
+		t.Fatal("profile mismatch")
+	}
+	// The replay Rand is empty when no SMC has drawn randomness: it
+	// returns zero rather than panicking.
+	if p.Rand() != 0 {
+		t.Fatal("empty RNG replay should return 0")
+	}
+}

@@ -331,7 +331,7 @@ func TestSealKeySVC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := plat.Monitor.SpecParams()
+	p := refine.SpecParams(plat.Monitor)
 	d, err := plat.Monitor.DecodePageDB()
 	if err != nil {
 		t.Fatal(err)

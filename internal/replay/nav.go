@@ -82,9 +82,6 @@ func StartNavigator(t *Trace, mods ...func(*komodo.BootConfig)) (*Navigator, err
 	return n, nil
 }
 
-// Freezer returns the navigator's freezer.
-func (n *Navigator) Freezer() *Freezer { return n.fz }
-
 // System returns the replayed system.
 func (n *Navigator) System() *komodo.System { return n.sys }
 

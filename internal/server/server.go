@@ -189,9 +189,6 @@ func (s *Server) Drain() { s.draining.Store(true) }
 // refusing traffic until a process restart.
 func (s *Server) Undrain() { s.draining.Store(false) }
 
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // QueueLen reports how many requests currently hold a service slot
 // (in service plus waiting for a worker).
 func (s *Server) QueueLen() int { return len(s.slots) }

@@ -122,7 +122,7 @@ func TestTable1SVCSurface(t *testing.T) {
 		t.Fatal("SVC InitL2PTable missing")
 	}
 	// Exit(retval) is the terminal event of the Enter relation.
-	if err, val := TerminalResult(ExecEvent{Kind: EventExit, ExitVal: 9}); err != kapi.ErrSuccess || val != 9 {
+	if err, val := TerminalResult(kapi.ExecEvent{Kind: kapi.EventExit, ExitVal: 9}); err != kapi.ErrSuccess || val != 9 {
 		t.Error("Exit semantics broken")
 	}
 }

@@ -53,11 +53,11 @@ func TestCheckEnterFaultHandledReplay(t *testing.T) {
 	afterTh.Ctx = pagedb.UserCtx{PC: 0x1008} // saved at the fault (havoc)
 	after.Get(3).Data.Contents[1] = 0x99     // page 3 is rw-mapped
 
-	trace := []ExecEvent{
-		{Kind: EventSVC, Call: kapi.SVCSetFaultHandler, Args: [8]uint32{handlerVA}, Res: kapi.ErrSuccess},
-		{Kind: EventFaultHandled, FaultType: kapi.ExitDataAbort},
-		{Kind: EventSVC, Call: kapi.SVCFaultReturn, Res: kapi.ErrSuccess},
-		{Kind: EventExit, ExitVal: 5},
+	trace := []kapi.ExecEvent{
+		{Kind: kapi.EventSVC, Call: kapi.SVCSetFaultHandler, Args: [8]uint32{handlerVA}, Res: kapi.ErrSuccess},
+		{Kind: kapi.EventFaultHandled, FaultType: kapi.ExitDataAbort},
+		{Kind: kapi.EventSVC, Call: kapi.SVCFaultReturn, Res: kapi.ErrSuccess},
+		{Kind: kapi.EventExit, ExitVal: 5},
 	}
 	if err := CheckEnter(p, d, after, 4, false, trace, kapi.ErrSuccess, 5); err != nil {
 		t.Fatalf("fault-handled replay: %v", err)
@@ -65,20 +65,20 @@ func TestCheckEnterFaultHandledReplay(t *testing.T) {
 
 	// A fault-handled event without a registered handler must fail the
 	// relation.
-	badTrace := []ExecEvent{
-		{Kind: EventFaultHandled, FaultType: kapi.ExitDataAbort},
-		{Kind: EventExit, ExitVal: 5},
+	badTrace := []kapi.ExecEvent{
+		{Kind: kapi.EventFaultHandled, FaultType: kapi.ExitDataAbort},
+		{Kind: kapi.EventExit, ExitVal: 5},
 	}
 	if err := CheckEnter(p, d, after, 4, false, badTrace, kapi.ErrSuccess, 5); err == nil {
 		t.Fatal("accepted fault-handled without handler")
 	}
 
 	// A nested fault-handled event (already in handler) must fail.
-	nested := []ExecEvent{
-		{Kind: EventSVC, Call: kapi.SVCSetFaultHandler, Args: [8]uint32{handlerVA}, Res: kapi.ErrSuccess},
-		{Kind: EventFaultHandled, FaultType: kapi.ExitDataAbort},
-		{Kind: EventFaultHandled, FaultType: kapi.ExitDataAbort},
-		{Kind: EventExit, ExitVal: 5},
+	nested := []kapi.ExecEvent{
+		{Kind: kapi.EventSVC, Call: kapi.SVCSetFaultHandler, Args: [8]uint32{handlerVA}, Res: kapi.ErrSuccess},
+		{Kind: kapi.EventFaultHandled, FaultType: kapi.ExitDataAbort},
+		{Kind: kapi.EventFaultHandled, FaultType: kapi.ExitDataAbort},
+		{Kind: kapi.EventExit, ExitVal: 5},
 	}
 	if err := CheckEnter(p, d, after, 4, false, nested, kapi.ErrSuccess, 5); err == nil {
 		t.Fatal("accepted nested fault-handled events")
@@ -95,10 +95,10 @@ func TestCheckEnterExitInsideHandler(t *testing.T) {
 	afterTh := after.Get(4).Thread
 	afterTh.Handler = handlerVA
 	afterTh.InHandler = true
-	trace := []ExecEvent{
-		{Kind: EventSVC, Call: kapi.SVCSetFaultHandler, Args: [8]uint32{handlerVA}, Res: kapi.ErrSuccess},
-		{Kind: EventFaultHandled, FaultType: kapi.ExitUndef},
-		{Kind: EventExit, ExitVal: 1},
+	trace := []kapi.ExecEvent{
+		{Kind: kapi.EventSVC, Call: kapi.SVCSetFaultHandler, Args: [8]uint32{handlerVA}, Res: kapi.ErrSuccess},
+		{Kind: kapi.EventFaultHandled, FaultType: kapi.ExitUndef},
+		{Kind: kapi.EventExit, ExitVal: 1},
 	}
 	if err := CheckEnter(p, d, after, 4, false, trace, kapi.ErrSuccess, 1); err != nil {
 		t.Fatalf("exit inside handler: %v", err)

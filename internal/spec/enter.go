@@ -27,58 +27,6 @@ import (
 //     everything else (other enclaves, page tables, measurements) is
 //     exactly as the pure replay predicts.
 
-// EventKind classifies an execution-trace event.
-type EventKind int
-
-const (
-	// EventSVC is a non-terminal supervisor call (anything but Exit).
-	EventSVC EventKind = iota
-	// EventExit is the Exit SVC: a voluntary return to the OS.
-	EventExit
-	// EventIRQ / EventFIQ are interrupts that suspended the enclave.
-	EventIRQ
-	EventFIQ
-	// EventFault is a data abort, prefetch abort, or undefined
-	// instruction: the enclave is terminated with an error code only.
-	EventFault
-	// EventFaultHandled is a non-terminal fault delivered to the
-	// enclave's registered fault handler (the §9.2 dispatcher
-	// extension): execution continues inside the enclave and the OS
-	// observes nothing.
-	EventFaultHandled
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case EventSVC:
-		return "svc"
-	case EventExit:
-		return "exit"
-	case EventIRQ:
-		return "irq"
-	case EventFIQ:
-		return "fiq"
-	case EventFault:
-		return "fault"
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
-
-// ExecEvent is one entry of the recorded execution trace.
-type ExecEvent struct {
-	Kind EventKind
-	// SVC fields (EventSVC): call number, arguments, and the results the
-	// monitor returned to the enclave.
-	Call uint32
-	Args [8]uint32
-	Res  kapi.Err
-	Vals [8]uint32
-	// Exit value (EventExit).
-	ExitVal uint32
-	// Fault type (EventFault): one of kapi.ExitDataAbort/PrefAbort/Undef.
-	FaultType uint32
-}
-
 // ValidateEnter checks the preconditions of Enter and returns the error
 // code the specification demands, or ErrSuccess if execution may proceed.
 func ValidateEnter(d *pagedb.DB, thread pagedb.PageNr) kapi.Err {
@@ -112,15 +60,15 @@ func validateExec(d *pagedb.DB, thread pagedb.PageNr, resume bool) kapi.Err {
 
 // TerminalResult maps a terminal event to the (error, value) pair the SMC
 // must return to the OS — the declassification boundary of §6.2.
-func TerminalResult(ev ExecEvent) (kapi.Err, uint32) {
+func TerminalResult(ev kapi.ExecEvent) (kapi.Err, uint32) {
 	switch ev.Kind {
-	case EventExit:
+	case kapi.EventExit:
 		return kapi.ErrSuccess, ev.ExitVal
-	case EventIRQ:
+	case kapi.EventIRQ:
 		return kapi.ErrInterrupted, kapi.ExitIRQ
-	case EventFIQ:
+	case kapi.EventFIQ:
 		return kapi.ErrInterrupted, kapi.ExitFIQ
-	case EventFault:
+	case kapi.EventFault:
 		return kapi.ErrFault, ev.FaultType
 	}
 	return kapi.ErrInvalidArg, 0
@@ -131,7 +79,7 @@ func TerminalResult(ev ExecEvent) (kapi.Err, uint32) {
 // returned (err, val). resume selects Resume semantics. It returns nil if
 // the relation holds.
 func CheckEnter(p Params, before, after *pagedb.DB, thread pagedb.PageNr,
-	resume bool, trace []ExecEvent, gotErr kapi.Err, gotVal uint32) error {
+	resume bool, trace []kapi.ExecEvent, gotErr kapi.Err, gotVal uint32) error {
 
 	expErr := validateExec(before, thread, resume)
 	if expErr != kapi.ErrSuccess {
@@ -157,14 +105,14 @@ func CheckEnter(p Params, before, after *pagedb.DB, thread pagedb.PageNr,
 	ctxHavoc := false
 	for i, ev := range trace[:len(trace)-1] {
 		switch ev.Kind {
-		case EventSVC:
+		case kapi.EventSVC:
 			nd, vals, res := ApplySVC(p, d, thread, ev.Call, ev.Args)
 			if res != ev.Res || vals != ev.Vals {
 				return fmt.Errorf("spec: SVC %d (call %d) returned (%v, %v), spec says (%v, %v)",
 					i, ev.Call, ev.Res, ev.Vals, res, vals)
 			}
 			d = nd
-		case EventFaultHandled:
+		case kapi.EventFaultHandled:
 			// A fault delivered to the registered handler: legal only if
 			// one was registered and the thread was not already handling
 			// a fault (a nested fault must have been terminal).
@@ -183,7 +131,7 @@ func CheckEnter(p Params, before, after *pagedb.DB, thread pagedb.PageNr,
 
 	// Terminal event: check the declassified result and thread-state rules.
 	term := trace[len(trace)-1]
-	if term.Kind == EventSVC {
+	if term.Kind == kapi.EventSVC {
 		return fmt.Errorf("spec: terminal event is a non-terminal SVC")
 	}
 	expTermErr, expTermVal := TerminalResult(term)
@@ -198,7 +146,7 @@ func CheckEnter(p Params, before, after *pagedb.DB, thread pagedb.PageNr,
 	}
 	dTh := d.Get(thread).Thread
 	switch term.Kind {
-	case EventIRQ, EventFIQ:
+	case kapi.EventIRQ, kapi.EventFIQ:
 		// Interrupt: context saved in the thread page, marked entered "to
 		// prevent a suspended thread from being re-entered" (§4).
 		if !thAfter.Thread.Entered {
@@ -207,7 +155,7 @@ func CheckEnter(p Params, before, after *pagedb.DB, thread pagedb.PageNr,
 		// The saved context is user-execution havoc: adopt it.
 		dTh.Entered = true
 		dTh.Ctx = thAfter.Thread.Ctx
-	case EventExit, EventFault:
+	case kapi.EventExit, kapi.EventFault:
 		// "the enclave's registers are not saved, permitting it to be
 		// re-entered" (§4); faults likewise leave the thread re-enterable
 		// with no information captured.

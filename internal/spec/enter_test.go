@@ -66,7 +66,7 @@ func TestCheckEnterExitPath(t *testing.T) {
 	d := buildEnclave(t, p, true)
 	after := d.Clone()
 	after.Get(3).Data.Contents[5] = 0x777 // page 3 is mapped rw: legal havoc
-	trace := []ExecEvent{{Kind: EventExit, ExitVal: 42}}
+	trace := []kapi.ExecEvent{{Kind: kapi.EventExit, ExitVal: 42}}
 	if err := CheckEnter(p, d, after, 4, false, trace, kapi.ErrSuccess, 42); err != nil {
 		t.Fatalf("exit path: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestCheckEnterInterruptPath(t *testing.T) {
 	th.Entered = true
 	th.Ctx = pagedb.UserCtx{PC: 0x1010, SP: 0x2000}
 	th.Ctx.R[0] = 7
-	trace := []ExecEvent{{Kind: EventIRQ}}
+	trace := []kapi.ExecEvent{{Kind: kapi.EventIRQ}}
 	if err := CheckEnter(p, d, after, 4, false, trace, kapi.ErrInterrupted, kapi.ExitIRQ); err != nil {
 		t.Fatalf("irq path: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestCheckEnterFaultPath(t *testing.T) {
 	p := testParams()
 	d := buildEnclave(t, p, true)
 	after := d.Clone()
-	trace := []ExecEvent{{Kind: EventFault, FaultType: kapi.ExitDataAbort}}
+	trace := []kapi.ExecEvent{{Kind: kapi.EventFault, FaultType: kapi.ExitDataAbort}}
 	if err := CheckEnter(p, d, after, 4, false, trace, kapi.ErrFault, kapi.ExitDataAbort); err != nil {
 		t.Fatalf("fault path: %v", err)
 	}
@@ -128,18 +128,18 @@ func TestCheckEnterReplaysSVCs(t *testing.T) {
 	mustOK(t, "MapData", e)
 	after = after.Clone()
 	after.Get(7).Data.Contents[0] = 0x55 // enclave wrote to the new page
-	trace := []ExecEvent{
-		{Kind: EventSVC, Call: kapi.SVCMapData, Args: [8]uint32{7, uint32(m)}, Res: kapi.ErrSuccess},
-		{Kind: EventExit, ExitVal: 1},
+	trace := []kapi.ExecEvent{
+		{Kind: kapi.EventSVC, Call: kapi.SVCMapData, Args: [8]uint32{7, uint32(m)}, Res: kapi.ErrSuccess},
+		{Kind: kapi.EventExit, ExitVal: 1},
 	}
 	if err := CheckEnter(p, d, after, 4, false, trace, kapi.ErrSuccess, 1); err != nil {
 		t.Fatalf("svc replay: %v", err)
 	}
 	// If the monitor had returned a different SVC result than the spec
 	// computes, the relation must fail.
-	badTrace := []ExecEvent{
-		{Kind: EventSVC, Call: kapi.SVCMapData, Args: [8]uint32{7, uint32(m)}, Res: kapi.ErrNotSpare},
-		{Kind: EventExit, ExitVal: 1},
+	badTrace := []kapi.ExecEvent{
+		{Kind: kapi.EventSVC, Call: kapi.SVCMapData, Args: [8]uint32{7, uint32(m)}, Res: kapi.ErrNotSpare},
+		{Kind: kapi.EventExit, ExitVal: 1},
 	}
 	if err := CheckEnter(p, d, after, 4, false, badTrace, kapi.ErrSuccess, 1); err == nil {
 		t.Fatal("accepted diverging SVC result")
@@ -160,7 +160,7 @@ func TestCheckEnterRejectsForeignPageModification(t *testing.T) {
 
 	after := d.Clone()
 	after.Get(13).Data.Contents[0] = 0xe71
-	trace := []ExecEvent{{Kind: EventExit, ExitVal: 0}}
+	trace := []kapi.ExecEvent{{Kind: kapi.EventExit, ExitVal: 0}}
 	if err := CheckEnter(p, d, after, 4, false, trace, kapi.ErrSuccess, 0); err == nil {
 		t.Fatal("accepted modification of another enclave's page")
 	}
@@ -181,7 +181,7 @@ func TestCheckEnterRejectsReadOnlyPageModification(t *testing.T) {
 
 	after := d.Clone()
 	after.Get(3).Data.Contents[9] = 1 // not writable-mapped: illegal
-	trace := []ExecEvent{{Kind: EventExit, ExitVal: 0}}
+	trace := []kapi.ExecEvent{{Kind: kapi.EventExit, ExitVal: 0}}
 	if err := CheckEnter(p, d, after, 4, false, trace, kapi.ErrSuccess, 0); err == nil {
 		t.Fatal("accepted modification of a read-only page")
 	}
@@ -192,7 +192,7 @@ func TestCheckEnterRejectsMeasurementChange(t *testing.T) {
 	d := buildEnclave(t, p, true)
 	after := d.Clone()
 	after.Addrspace(0).Measured[0] ^= 1
-	trace := []ExecEvent{{Kind: EventExit, ExitVal: 0}}
+	trace := []kapi.ExecEvent{{Kind: kapi.EventExit, ExitVal: 0}}
 	if err := CheckEnter(p, d, after, 4, false, trace, kapi.ErrSuccess, 0); err == nil {
 		t.Fatal("accepted measurement change during execution")
 	}

@@ -86,15 +86,6 @@ type BlockCacheStats struct {
 	Enabled     bool   `json:"enabled"`
 }
 
-// MeanBlockLen is the average number of instructions retired per block
-// execution (0 if no block ever ran).
-func (s BlockCacheStats) MeanBlockLen() float64 {
-	if s.Blocks == 0 {
-		return 0
-	}
-	return float64(s.BlockInsns) / float64(s.Blocks)
-}
-
 // TraceStats summarises the boundary-event ring.
 type TraceStats struct {
 	Recorded uint64 `json:"recorded"`

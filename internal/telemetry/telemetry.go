@@ -122,14 +122,15 @@ func (k Kind) String() string {
 	return "kind(?)"
 }
 
-// PageMove codes (the Call field of KindPageMove events).
+// PageMove codes (the Call field of KindPageMove events): the monitor's
+// kapi.Move* codes, under the names this package's events use.
 const (
-	MoveToSecure       uint32 = iota // insecure contents copied into a secure page (MapSecure)
-	MoveScrubbed                     // secure page scrubbed and freed (Remove)
-	MoveZeroFilled                   // secure page zero-filled (allocation paths)
-	MoveInsecureShared               // insecure page mapped into an enclave (MapInsecure)
+	MoveToSecure       = kapi.MoveToSecure
+	MoveScrubbed       = kapi.MoveScrubbed
+	MoveZeroFilled     = kapi.MoveZeroFilled
+	MoveInsecureShared = kapi.MoveInsecureShared
 
-	NumPageMoves
+	NumPageMoves = kapi.NumPageMoves
 )
 
 var pageMoveNames = [NumPageMoves]string{
@@ -179,9 +180,9 @@ func (s *callSeries) observe(total, dispatchCyc uint64, isErr bool) {
 	s.hist[HistBucket(total)].Add(1)
 }
 
-// Recorder is the telemetry hub for one simulated platform. All methods
-// are safe for concurrent use and safe on a nil receiver (a nil Recorder
-// records nothing).
+// Recorder is the telemetry hub for one simulated platform, and the
+// monitor's kapi.Observer. All methods are safe for concurrent use and
+// safe on a nil receiver (a nil Recorder records nothing).
 type Recorder struct {
 	sink    Sink
 	ring    *Ring
@@ -365,12 +366,4 @@ func (r *Recorder) LifecycleCount(l Lifecycle) uint64 {
 		return 0
 	}
 	return r.lifecycle[l].Load()
-}
-
-// PageMoveCount returns how many page movements of the given code were seen.
-func (r *Recorder) PageMoveCount(move uint32) uint64 {
-	if r == nil || move >= NumPageMoves {
-		return 0
-	}
-	return r.pageMoves[move].Load()
 }

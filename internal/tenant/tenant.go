@@ -270,17 +270,6 @@ func (r *Registry) Stats() []TierStats {
 	return out
 }
 
-// Tiers returns the declared tier specs, lowest tier first.
-func (r *Registry) Tiers() []TierSpec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]TierSpec, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.tiers[name].spec)
-	}
-	return out
-}
-
 // ParseTiers parses the -tiers flag syntax:
 //
 //	name:rate:burst:quota[:shedat];name:rate:burst:quota[:shedat];...
