@@ -59,6 +59,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/sha2/
 	$(GO) test -run XXX -bench 'BenchmarkCheckpointStoreSave|BenchmarkDurableSign|BenchmarkBoot|BenchmarkStartRecording' -benchmem -benchtime 1x ./internal/server/
 	$(GO) test -run XXX -bench 'BenchmarkDigest|BenchmarkExportPages' -benchmem -benchtime 1x ./internal/mem/
+	$(GO) test -run XXX -bench BenchmarkTracedRequest -benchmem -benchtime 1000x ./internal/obs/
 	$(GO) run ./cmd/komodo-bench -perf -perf-requests 16
 
 # Regenerate the committed perf baseline for this PR sequence number.

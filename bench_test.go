@@ -60,7 +60,7 @@ func BenchmarkTable3(b *testing.B) {
 // the trace-ring lock (so sink order is sequence order), which is free
 // for the nop sink. A writing sink such as JSONLSink encodes and writes
 // while holding that lock, so concurrent producers and ring readers
-// (Snapshot, EventsSince) wait on its I/O.
+// (Snapshot, EachSince) wait on its I/O.
 func BenchmarkTelemetryNopOverhead(b *testing.B) {
 	run := func(b *testing.B, rec *telemetry.Recorder) {
 		plat, err := board.Boot(board.Config{Seed: 1, Telemetry: rec})

@@ -499,10 +499,6 @@ func (a *Aggregator) Pending() int {
 	return a.queued
 }
 
-// MaxQueue reports the saturation limit Submit rejects beyond — the
-// denominator for queue-pressure load shedding.
-func (a *Aggregator) MaxQueue() int { return a.cfg.MaxQueue }
-
 // Pressure reports the batcher's queue fullness for load shedding. With
 // fixed sizing this is exactly (Pending, MaxQueue); with adaptive sizing
 // the denominator tracks the live threshold (4×K, capped at MaxQueue),

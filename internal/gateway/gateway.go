@@ -323,7 +323,7 @@ func (g *Gateway) forwardTo(w http.ResponseWriter, r *http.Request, b *backend, 
 		req.Header.Set("Content-Type", ct)
 	}
 	if tp := tr.Traceparent(); tp != "" {
-		req.Header.Set("traceparent", tp)
+		req.Header.Set("Traceparent", tp)
 	}
 	// Tenant admission headers travel to the backend unmodified — through
 	// shard routing AND failover — so tenant accounting and leaf binding

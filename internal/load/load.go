@@ -516,7 +516,7 @@ func doRequest(ctx context.Context, client *http.Client, base, ep, nonce, tracep
 		return out, err
 	}
 	if traceparent != "" {
-		req.Header.Set("traceparent", traceparent)
+		req.Header.Set("Traceparent", traceparent)
 	}
 	if token != "" {
 		req.Header.Set(server.TenantHeader, token)

@@ -94,9 +94,6 @@ func (o *OS) SetTelemetry(t *telemetry.Recorder) { o.tel = t }
 // SetTap installs (or, with nil, removes) the record/replay tap.
 func (o *OS) SetTap(t Tap) { o.tap = t }
 
-// Machine exposes the underlying machine.
-func (o *OS) Machine() *arm.Machine { return o.mach }
-
 // Driver exposes the SMC driver.
 func (o *OS) Driver() Driver { return o.drv }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -27,9 +28,11 @@ type Edge struct {
 
 // NewEdge returns an edge whose flight recorder keeps flightSize traces
 // (DefaultFlightRecorderSize if <= 0) and serves them at
-// /v1/debug/traces. finish, if non-nil, sees each finished trace before it
-// is recorded and returns it, amended or not. It takes and returns the
-// trace by value so that the trace need not escape to the heap.
+// /v1/debug/traces. finish, if non-nil, sees each trace the flight
+// recorder will retain, once built and before it is recorded, and
+// returns it, amended or not; it never runs for a trace the recorder
+// would drop. It takes and returns the trace by value so that the trace
+// need not escape to the heap.
 func NewEdge(flightSize int, finish func(TraceData) TraceData) *Edge {
 	e := &Edge{
 		mux:    http.NewServeMux(),
@@ -53,21 +56,45 @@ func (e *Edge) HandleFunc(path string, h http.HandlerFunc) { e.mux.HandleFunc(pa
 // inbound W3C traceparent (or mint a fresh trace), thread the trace
 // through the request context, echo the outbound Traceparent header, and
 // on completion observe the wall-clock latency under (path, outcome) and
-// offer the finished trace to the flight recorder.
+// offer the finished trace to the flight recorder. The trace is built
+// into a TraceData, and the finish hook run, only if the recorder will
+// retain it; either way it counts as seen. The Trace and the status
+// recorder are reused once h returns, so h must not keep either.
 func (e *Edge) Traced(path string, h http.HandlerFunc) {
 	e.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		tr := NewTrace(path, r.Header.Get("traceparent"))
+		req := tracedRequests.Get().(*tracedRequest)
+		tr := &req.tr
+		tr.reset(path, r.Header.Get("Traceparent"))
 		w.Header().Set("Traceparent", tr.Traceparent())
-		sw := &statusRecorder{ResponseWriter: w}
-		h(sw, r.WithContext(WithTrace(r.Context(), tr)))
-		td := tr.Finish(Outcome(sw.status))
-		if e.finish != nil {
-			td = e.finish(td)
+		req.sw = statusRecorder{ResponseWriter: w}
+		h(&req.sw, r.WithContext(WithTrace(r.Context(), tr)))
+		outcome := Outcome(req.sw.status)
+		dur := tr.finish(outcome)
+		e.lat.Observe(path, outcome, dur)
+		if e.flight.WouldRetain(dur.Nanoseconds()) {
+			td := tr.Data()
+			if e.finish != nil {
+				td = e.finish(td)
+			}
+			td.Attachment = nil
+			e.flight.Record(td)
+		} else {
+			e.flight.pass()
 		}
-		e.lat.Observe(path, td.Outcome, time.Duration(td.DurNS))
-		e.flight.Record(td)
+		// The pool must not keep the writer or a recording alive.
+		req.sw = statusRecorder{}
+		tr.attachment = nil
+		tracedRequests.Put(req)
 	})
 }
+
+// tracedRequest is the per-request state Traced reuses across requests.
+type tracedRequest struct {
+	tr Trace
+	sw statusRecorder
+}
+
+var tracedRequests = sync.Pool{New: func() any { return new(tracedRequest) }}
 
 // statusRecorder captures the response status for outcome classification.
 type statusRecorder struct {

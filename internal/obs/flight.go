@@ -51,9 +51,15 @@ func (f *FlightRecorder) Record(td TraceData) {
 	}
 }
 
+// pass counts a trace offered but not retained, without building it.
+func (f *FlightRecorder) pass() {
+	f.mu.Lock()
+	f.seen++
+	f.mu.Unlock()
+}
+
 // WouldRetain reports whether a trace of the given duration would be kept
-// if offered now — the record-persistence gate asks this before paying for
-// a trace file write.
+// if offered now — Edge.Traced asks this before paying to build a trace.
 func (f *FlightRecorder) WouldRetain(durNS int64) bool {
 	if f == nil {
 		return false

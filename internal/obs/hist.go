@@ -84,14 +84,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the total of all observed samples.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sumNS.Load())
-}
-
 // Max returns the largest sample observed.
 func (h *Histogram) Max() time.Duration {
 	if h == nil {

@@ -35,6 +35,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -125,21 +126,55 @@ type TraceData struct {
 	DurNS    int64     `json:"dur_ns"`
 	Replay   string    `json:"replay,omitempty"` // path of the persisted replay trace, if recorded
 	Spans    []Span    `json:"spans"`
+
+	// Attachment is the value a handler attached with Trace.Attach, for
+	// an Edge's finish hook to consume. It is never serialised, and the
+	// flight recorder never keeps it.
+	Attachment any `json:"-"`
+}
+
+// InlineSpans is how many spans a Trace records without allocating; past
+// it, spans spill to a growing slice.
+const InlineSpans = 24
+
+// span is one recorded timeline entry, its strings the static ones the
+// instrumentation passed. With hasN, its detail is followed by n in
+// decimal, formatted only when the trace is built.
+type span struct {
+	Span
+	n    int64
+	hasN bool
+}
+
+func (s *span) render() Span {
+	sp := s.Span
+	if s.hasN {
+		sp.Detail += strconv.FormatInt(s.n, 10)
+	}
+	return sp
 }
 
 // Trace accumulates the span timeline of one request. All methods are safe
 // for concurrent use and safe on a nil receiver (a nil *Trace records
 // nothing), so instrumented layers never branch on "tracing enabled?".
+//
+// Recording is cheap and fixed: spans go into an inline record and
+// nothing is named, hex-encoded or formatted until Data or Finish builds
+// the TraceData. Edge.Traced builds it only for traces the flight
+// recorder will retain, and reuses the Trace once the handler returns, so
+// no layer may keep a *Trace past the request it was handed with.
 type Trace struct {
-	mu       sync.Mutex
-	id       TraceID
-	root     SpanID
-	parent   SpanID // inbound parent (zero when minted locally)
-	endpoint string
-	outcome  string
-	start    time.Time
-	dur      time.Duration
-	spans    []Span
+	mu         sync.Mutex
+	id         TraceID
+	root       SpanID
+	parent     SpanID // inbound parent (zero when minted locally)
+	endpoint   string
+	outcome    string
+	start      time.Time
+	dur        time.Duration
+	attachment any
+	spans      []span // backed by inline until it outgrows it
+	inline     [InlineSpans]span
 }
 
 // NewTrace starts a trace for one request against the named endpoint. If
@@ -147,15 +182,24 @@ type Trace struct {
 // the inbound span becomes the parent; otherwise a fresh trace-id is
 // minted. A new root span-id is always minted for this service.
 func NewTrace(endpoint, traceparent string) *Trace {
-	t := &Trace{endpoint: endpoint, start: time.Now()}
+	t := new(Trace)
+	t.reset(endpoint, traceparent)
+	return t
+}
+
+// reset readies t for a new request, as NewTrace describes. The caller
+// has exclusive use of t.
+func (t *Trace) reset(endpoint, traceparent string) {
+	t.endpoint, t.outcome, t.dur, t.attachment = endpoint, "", 0, nil
+	t.spans = t.inline[:0]
 	if tid, sid, ok := ParseTraceparent(traceparent); ok {
-		t.id = tid
-		t.parent = sid
+		t.id, t.parent = tid, sid
 	} else {
 		randomID(t.id[:])
+		t.parent = SpanID{}
 	}
 	randomID(t.root[:])
-	return t
+	t.start = time.Now()
 }
 
 // ID returns the trace-id (zero on a nil trace).
@@ -181,7 +225,25 @@ func (t *Trace) Traceparent() string {
 	if t == nil {
 		return ""
 	}
-	return "00-" + t.id.String() + "-" + t.root.String() + "-01"
+	var b [55]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], t.id[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], t.root[:])
+	copy(b[52:], "-01")
+	return string(b[:])
+}
+
+// Attach hands v to the Edge's finish hook, which sees it as the built
+// TraceData's Attachment if the trace is retained. An unretained trace
+// drops it. A later Attach replaces an earlier one.
+func (t *Trace) Attach(v any) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.attachment = v
+	t.mu.Unlock()
 }
 
 // SpanHandle is an open wall-clock span; End (or EndDetail) closes it and
@@ -201,38 +263,52 @@ func (t *Trace) StartSpan(name string) SpanHandle {
 }
 
 // End closes the span with no annotation.
-func (h SpanHandle) End() { h.EndDetail("") }
+func (h SpanHandle) End() { h.end(span{}) }
 
 // EndDetail closes the span with a free-form annotation.
-func (h SpanHandle) EndDetail(detail string) {
+func (h SpanHandle) EndDetail(detail string) { h.end(span{Span: Span{Detail: detail}}) }
+
+// EndDetailN closes the span with the annotation detail followed by n in
+// decimal ("worker=" and 3 read "worker=3"), formatted only if the trace
+// is built.
+func (h SpanHandle) EndDetailN(detail string, n int64) {
+	h.end(span{Span: Span{Detail: detail}, n: n, hasN: true})
+}
+
+func (h SpanHandle) end(s span) {
 	if h.t == nil {
 		return
 	}
-	end := time.Now()
-	h.t.mu.Lock()
-	h.t.spans = append(h.t.spans, Span{
-		Name:    h.name,
-		StartNS: h.start.Sub(h.t.start).Nanoseconds(),
-		DurNS:   end.Sub(h.start).Nanoseconds(),
-		Detail:  detail,
-	})
-	h.t.mu.Unlock()
+	s.Name = h.name
+	s.DurNS = time.Since(h.start).Nanoseconds()
+	s.StartNS = h.start.Sub(h.t.start).Nanoseconds()
+	h.t.add(s)
 }
 
 // AddCycleSpan appends a cycle-domain span (a monitor-boundary event): no
 // wall duration, Cycles carries the simulated cost. StartNS is stamped at
 // insertion time so the span sorts after the wall spans that enclosed it.
 func (t *Trace) AddCycleSpan(name string, cycles uint64, detail string) {
+	t.addCycles(span{Span: Span{Name: name, Cycles: cycles, Detail: detail}})
+}
+
+// AddCycleSpanN is AddCycleSpan with the annotation detail followed by n
+// in decimal, formatted only if the trace is built.
+func (t *Trace) AddCycleSpanN(name string, cycles uint64, detail string, n int64) {
+	t.addCycles(span{Span: Span{Name: name, Cycles: cycles, Detail: detail}, n: n, hasN: true})
+}
+
+func (t *Trace) addCycles(s span) {
 	if t == nil {
 		return
 	}
+	s.StartNS = time.Since(t.start).Nanoseconds()
+	t.add(s)
+}
+
+func (t *Trace) add(s span) {
 	t.mu.Lock()
-	t.spans = append(t.spans, Span{
-		Name:    name,
-		StartNS: time.Since(t.start).Nanoseconds(),
-		Cycles:  cycles,
-		Detail:  detail,
-	})
+	t.spans = append(t.spans, s)
 	t.mu.Unlock()
 }
 
@@ -243,32 +319,40 @@ func (t *Trace) Finish(outcome string) TraceData {
 	if t == nil {
 		return TraceData{}
 	}
+	t.finish(outcome)
+	return t.Data()
+}
+
+// finish closes the trace without building it and returns its duration.
+func (t *Trace) finish(outcome string) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.outcome = outcome
 	t.dur = time.Since(t.start)
-	return t.dataLocked()
+	return t.dur
 }
 
-// Data returns the trace's current data view without closing it.
+// Data builds the trace's current data view without closing it.
 func (t *Trace) Data() TraceData {
 	if t == nil {
 		return TraceData{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dataLocked()
-}
-
-func (t *Trace) dataLocked() TraceData {
 	td := TraceData{
-		TraceID:  t.id.String(),
-		SpanID:   t.root.String(),
-		Endpoint: t.endpoint,
-		Outcome:  t.outcome,
-		Start:    t.start,
-		DurNS:    t.dur.Nanoseconds(),
-		Spans:    append([]Span(nil), t.spans...),
+		TraceID:    t.id.String(),
+		SpanID:     t.root.String(),
+		Endpoint:   t.endpoint,
+		Outcome:    t.outcome,
+		Start:      t.start,
+		DurNS:      t.dur.Nanoseconds(),
+		Attachment: t.attachment,
+	}
+	if len(t.spans) > 0 {
+		td.Spans = make([]Span, len(t.spans))
+	}
+	for i := range t.spans {
+		td.Spans[i] = t.spans[i].render()
 	}
 	if !t.parent.IsZero() {
 		td.ParentID = t.parent.String()

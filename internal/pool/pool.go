@@ -239,7 +239,7 @@ func (p *Pool) Get(ctx context.Context) (*Worker, error) {
 		p.stats.Gets++
 		w.uses++
 		p.mu.Unlock()
-		sp.EndDetail(fmt.Sprintf("worker=%d", w.id))
+		sp.EndDetailN("worker=", int64(w.id))
 		return w, nil
 	case <-ctx.Done():
 		sp.EndDetail("deadline")

@@ -100,10 +100,6 @@ func Install(m *arm.Machine) *Freezer {
 	return f
 }
 
-// Machine returns the frozen machine (for command interpreters; only touch
-// it through Do).
-func (f *Freezer) Machine() *arm.Machine { return f.mach }
-
 // probe runs on the execution goroutine before every instruction while
 // armed.
 func (f *Freezer) probe(pc uint32, i *arm.Instr) {

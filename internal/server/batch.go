@@ -210,7 +210,7 @@ func (s *Server) handleBatchSign(w http.ResponseWriter, r *http.Request, doc []b
 	rec, err := s.agg.Submit(ctx, req)
 	switch {
 	case err == nil:
-		sp.EndDetail(fmt.Sprintf("size=%d", rec.BatchSize))
+		sp.EndDetailN("size=", int64(rec.BatchSize))
 	case errors.Is(err, batch.ErrSaturated):
 		sp.EndDetail("saturated")
 		s.rejected.Add(1)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -111,10 +110,6 @@ type Server struct {
 
 	agg     *batch.Aggregator // batched sign path (nil unless BatchMaxSize > 0)
 	tierLat *obs.LatencyVec   // wall-clock latency per (tier, outcome)
-
-	// Record/replay state (RecordDir mode): finished-but-unpersisted
-	// traces keyed by trace id.
-	recordings sync.Map // trace id → *replay.Trace
 }
 
 // New builds the server around a pool.
@@ -284,7 +279,7 @@ func (s *Server) withWorkerOpts(w http.ResponseWriter, r *http.Request, admin bo
 	rec.SetSpanTag(0)
 	harvestCycleSpans(tr, rec, mark)
 	if recorder != nil {
-		s.recordings.Store(tr.ID().String(), recorder.Stop())
+		tr.Attach(recorder.Stop())
 	}
 	if err != nil {
 		exec.EndDetail("error")
@@ -310,50 +305,72 @@ func (s *Server) startRecording(tr *obs.Trace, wk *pool.Worker, endpoint string)
 	return rec
 }
 
-// persistRecording runs after a request finishes: if it was recorded and
-// is slow enough for the flight recorder to retain, the replay trace is
+// persistRecording runs for each request trace the flight recorder will
+// retain: if the request was recorded, the replay trace riding on it is
 // written to RecordDir and linked from the retained trace's Replay field.
-// Everything else recorded is discarded here — the record knob keeps the
-// N-slowest policy of the flight recorder.
+// The recordings of unretained requests are dropped with their traces —
+// the record knob keeps the N-slowest policy of the flight recorder.
 func (s *Server) persistRecording(td obs.TraceData) obs.TraceData {
-	v, ok := s.recordings.LoadAndDelete(td.TraceID)
-	if !ok || !s.edge.Flight().WouldRetain(td.DurNS) {
+	rt, ok := td.Attachment.(*replay.Trace)
+	if !ok {
 		return td
 	}
 	path := filepath.Join(s.cfg.RecordDir, td.TraceID+".krec")
-	if err := replay.Save(path, v.(*replay.Trace)); err == nil {
+	if err := replay.Save(path, rt); err == nil {
 		td.Replay = path
 	}
 	return td
 }
 
+// cycleSpanNames names the cycle-domain span of every SMC (row KindSMC,
+// 0) and SVC (row KindSVC, 1) call below telemetry.MaxCall, built once so
+// that harvesting formats no span name per request.
+var cycleSpanNames = func() (names [2][telemetry.MaxCall]string) {
+	for kind := range names {
+		for call := range names[kind] {
+			names[kind][call] = cycleSpanName(telemetry.Event{Kind: telemetry.Kind(kind), Call: uint32(call)})
+		}
+	}
+	return names
+}()
+
+// cycleSpanName is "smc:" or "svc:" and the call's name, or "callN" for
+// an unnamed call.
+func cycleSpanName(e telemetry.Event) string {
+	prefix := "smc:"
+	if e.Kind == telemetry.KindSVC {
+		prefix = "svc:"
+	}
+	name := telemetry.EventName(e)
+	if name == "" {
+		name = fmt.Sprintf("call%d", e.Call)
+	}
+	return prefix + name
+}
+
 // harvestCycleSpans converts the monitor boundary events recorded for
 // this request (identified by span tag) into cycle-domain spans on its
 // trace: one "smc:NAME" or "svc:NAME" span per call, carrying the
-// simulated cycles the monitor spent in it.
+// simulated cycles the monitor spent in it. It reads the telemetry ring
+// in place while the caller still holds the worker, so it copies no
+// events.
 func harvestCycleSpans(tr *obs.Trace, rec *telemetry.Recorder, mark uint64) {
 	if tr == nil {
 		return
 	}
-	for _, e := range rec.EventsSince(mark) {
-		if e.Span != tr.SpanTag() {
-			continue
+	tag := tr.SpanTag()
+	rec.Ring().EachSince(mark, func(e telemetry.Event) {
+		if e.Span != tag || e.Kind != telemetry.KindSMC && e.Kind != telemetry.KindSVC {
+			return
 		}
-		var prefix string
-		switch e.Kind {
-		case telemetry.KindSMC:
-			prefix = "smc:"
-		case telemetry.KindSVC:
-			prefix = "svc:"
-		default:
-			continue
+		var name string
+		if e.Call < telemetry.MaxCall {
+			name = cycleSpanNames[e.Kind][e.Call]
+		} else {
+			name = cycleSpanName(e)
 		}
-		name := telemetry.EventName(e)
-		if name == "" {
-			name = fmt.Sprintf("call%d", e.Call)
-		}
-		tr.AddCycleSpan(prefix+name, e.Cycles, fmt.Sprintf("err=%d", e.Err))
-	}
+		tr.AddCycleSpanN(name, e.Cycles, "err=", int64(e.Err))
+	})
 }
 
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {

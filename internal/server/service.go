@@ -6,6 +6,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sync"
@@ -284,19 +285,30 @@ func docWords(doc []byte) []uint32 {
 // EncodeWords renders 8 words as the canonical 64-char hex string used in
 // every response body (big-endian, word order preserved).
 func EncodeWords(ws [8]uint32) string {
-	return hex.EncodeToString(sha2.WordsToBytes(ws[:]))
+	const digits = "0123456789abcdef"
+	var dst [64]byte
+	for i, w := range ws {
+		for j := range 8 {
+			dst[8*i+j] = digits[w>>(28-4*j)&0xf]
+		}
+	}
+	return string(dst[:])
 }
 
-// DecodeWords parses EncodeWords output.
+// DecodeWords parses EncodeWords output without allocating.
 func DecodeWords(s string) ([8]uint32, error) {
 	var out [8]uint32
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return out, err
-	}
-	if len(b) != 32 {
+	var src [64]byte
+	if len(s) != len(src) {
 		return out, fmt.Errorf("server: want 64 hex chars, got %d", len(s))
 	}
-	copy(out[:], sha2.BytesToWords(b))
+	copy(src[:], s)
+	var b [32]byte
+	if _, err := hex.Decode(b[:], src[:]); err != nil {
+		return out, err
+	}
+	for i := range out {
+		out[i] = binary.BigEndian.Uint32(b[4*i:])
+	}
 	return out, nil
 }

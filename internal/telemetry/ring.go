@@ -61,18 +61,22 @@ func (r *Ring) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.newest(min(r.total, uint64(len(r.buf))))
+	out := make([]Event, 0, min(r.Total(), uint64(r.Capacity())))
+	r.EachSince(0, func(e Event) { out = append(out, e) })
+	return out
 }
 
-// Since returns the retained events with sequence numbers at or above
-// mark, oldest first. Events are appended in sequence order, so these
-// form a suffix of the ring: Since walks back from the newest event to
-// find where it starts and copies only that suffix, under the ring lock.
-func (r *Ring) Since(mark uint64) []Event {
+// EachSince calls f on each retained event with a sequence number at or
+// above mark (use Total() before a request as the mark), oldest first,
+// reading the ring in place. Events are appended in sequence order, so
+// these form a suffix of the ring: events older than its capacity are
+// gone, but per-request harvesting never sees gaps in the middle.
+// EachSince walks back from the newest event to find where the suffix
+// starts. f runs under the ring lock, so like a Sink it must not call
+// back into the ring or its Recorder.
+func (r *Ring) EachSince(mark uint64, f func(Event)) {
 	if r == nil {
-		return nil
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -81,21 +85,9 @@ func (r *Ring) Since(mark uint64) []Event {
 	for n < min(r.total, cap64) && r.buf[(r.total-1-n)%cap64].Seq >= mark {
 		n++
 	}
-	if n == 0 {
-		return nil
+	for seq := r.total - n; seq < r.total; seq++ {
+		f(r.buf[seq%cap64])
 	}
-	return r.newest(n)
-}
-
-// newest copies the n most recent events, oldest first. The caller holds
-// r.mu and n is at most the number retained.
-func (r *Ring) newest(n uint64) []Event {
-	cap64 := uint64(len(r.buf))
-	out := make([]Event, n)
-	for i := range out {
-		out[i] = r.buf[(r.total-n+uint64(i))%cap64]
-	}
-	return out
 }
 
 // Total returns how many events were ever appended.

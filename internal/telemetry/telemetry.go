@@ -249,19 +249,6 @@ func (r *Recorder) SpanTag() uint64 {
 	return r.spanTag.Load()
 }
 
-// EventsSince returns the ring's retained events with sequence numbers at
-// or above mark (use Ring().Total() before a request as the mark). Events
-// older than the ring capacity are gone; what remains is still a
-// contiguous suffix, so per-request harvesting never sees gaps in the
-// middle. Only that suffix is copied, so the cost follows the events
-// since mark, not the ring's capacity.
-func (r *Recorder) EventsSince(mark uint64) []Event {
-	if r == nil {
-		return nil
-	}
-	return r.ring.Since(mark)
-}
-
 // emit assigns a sequence number, appends to the ring, and forwards to the
 // sink. All three happen under the ring lock, so ring order and sink order
 // always match sequence order (linearisability of the trace is asserted by
