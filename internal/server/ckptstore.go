@@ -16,10 +16,12 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/store"
@@ -38,8 +40,9 @@ const (
 	recFormat    = uint32(2)
 	recHeadBytes = 12
 	// ckptSnapshotName is the folded-state snapshot file: a JSON array of
-	// SavedCheckpoint. Its name is kept across payload formats, so an
-	// older binary reads it and then fails closed on the compact Ckpt.
+	// SavedCheckpoint in ascending worker order. Its name is kept across
+	// payload formats, so an older binary reads it and then fails closed
+	// on the compact Ckpt.
 	ckptSnapshotName = "checkpoints.json"
 	// ckptCompactEvery folds the WAL into a snapshot after this many
 	// appended records, bounding recovery time and log growth.
@@ -88,8 +91,9 @@ type CheckpointStore struct {
 	// cmu orders saves against compaction: every Save holds it shared
 	// for append + map update, Compact takes it exclusively, so the
 	// snapshot that replaces the WAL always folds every acknowledged
-	// record.
-	cmu sync.RWMutex
+	// record. It also guards snapBuf, which compact encodes into.
+	cmu     sync.RWMutex
+	snapBuf bytes.Buffer
 	// mu guards the in-memory map state only (never held across I/O).
 	mu     sync.Mutex
 	st     *store.Store
@@ -174,7 +178,7 @@ func (c *CheckpointStore) Save(worker int, counter uint32, ckpt *komodo.Checkpoi
 	binary.BigEndian.PutUint32(frame[store.FrameHead:], recFormat)
 	binary.BigEndian.PutUint32(frame[store.FrameHead+4:], uint32(worker))
 	binary.BigEndian.PutUint32(frame[store.FrameHead+8:], counter)
-	// AppendCompact grows a worker's first frames once, to an allocator
+	// AppendCompact grows a worker's first frames, last to an allocator
 	// size class, and a reused one only if the record outgrew it. The
 	// CRC's bytes fit in the slack unless the record ends on a class
 	// boundary, where this append copies it once more.
@@ -226,6 +230,9 @@ func (c *CheckpointStore) Save(worker int, counter uint32, ckpt *komodo.Checkpoi
 // Best effort: a failed snapshot (its directory fsync included) leaves
 // the WAL intact and a failed rewind comes after the snapshot, so nothing
 // durable is lost — only log growth until the next Save retries.
+//
+// The snapshot is encoded into a buffer the store keeps, workers in
+// ascending order, and its bytes are exactly json.Marshal's.
 func (c *CheckpointStore) compact() {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
@@ -239,10 +246,13 @@ func (c *CheckpointStore) compact() {
 		snap = append(snap, w.SavedCheckpoint)
 	}
 	c.mu.Unlock()
-	data, err := json.Marshal(snap)
-	if err != nil {
+	slices.SortFunc(snap, func(a, b SavedCheckpoint) int { return cmp.Compare(a.Worker, b.Worker) })
+	c.snapBuf.Reset()
+	if err := json.NewEncoder(&c.snapBuf).Encode(snap); err != nil {
 		return
 	}
+	// Encode ends the value with a newline that Marshal does not write.
+	data := bytes.TrimSuffix(c.snapBuf.Bytes(), []byte("\n"))
 	if err := c.st.WriteSnapshot(ckptSnapshotName, data); err != nil {
 		return
 	}

@@ -302,6 +302,137 @@ func TestCheckpointStoreRecovery(t *testing.T) {
 	}
 }
 
+// v1StateDir is a fresh copy of testdata/v1-state, a state dir version
+// 1 wrote: JSON records and a JSON-era snapshot for workers 0 and 1.
+func v1StateDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range []string{"wal.log", ckptSnapshotName} {
+		b, err := os.ReadFile(filepath.Join("testdata", "v1-state", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestCheckpointSnapshotBytes: compaction writes exactly json.Marshal of
+// the latest checkpoints in ascending worker order, whatever order the
+// workers saved in and whatever form their Ckpt has: compact records
+// saved here, a JSON-era record recovered from testdata/v1-state, and a
+// record without a Ckpt, which writes null.
+func TestCheckpointSnapshotBytes(t *testing.T) {
+	// noCkpt appends a JSON record without a ckpt field for worker 5.
+	noCkpt := func(t *testing.T, dir string) {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if _, err := st.Append(recCheckpoint, []byte(`{"worker":5,"counter":7}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		dir     func(t *testing.T) string
+		workers []int // saved round-robin, ckptCompactEvery times in all
+	}{
+		{"fresh", func(t *testing.T) string { return t.TempDir() }, []int{3, 1, 2, 0}},
+		{"v1-state", v1StateDir, []int{2, 0}},
+		{"nil ckpt", func(t *testing.T) string { d := t.TempDir(); noCkpt(t, d); return d }, []int{4, 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := tc.dir(t)
+			cs, err := OpenCheckpointStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cs.Close()
+			for i := range ckptCompactEvery {
+				if err := cs.Save(tc.workers[i%len(tc.workers)], uint32(100+i), tinyCheckpoint(uint32(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ids := cs.Workers()
+			slices.Sort(ids)
+			want := make([]SavedCheckpoint, len(ids))
+			for i, id := range ids {
+				want[i], _ = cs.Latest(id)
+			}
+			wantJSON, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, ckptSnapshotName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantJSON) {
+				t.Fatalf("snapshot\n%s\nwant json.Marshal of the sorted latest\n%s", got, wantJSON)
+			}
+		})
+	}
+}
+
+// TestCheckpointSnapshotAnyOrder: a snapshot is read in any worker
+// order, so one an earlier version wrote in map order recovers here,
+// and one written here, which json.Marshal would also have written,
+// recovers on a version that decodes it with json.Unmarshal.
+func TestCheckpointSnapshotAnyOrder(t *testing.T) {
+	snap := []SavedCheckpoint{
+		{Worker: 2, Counter: 20, Ckpt: compactOf(t, tinyCheckpoint(20))},
+		{Worker: 0, Counter: 5, Ckpt: compactOf(t, tinyCheckpoint(5))},
+		{Worker: 1, Counter: 9, Ckpt: compactOf(t, tinyCheckpoint(9))},
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ckptSnapshotName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range snap {
+		if got, ok := cs.Latest(s.Worker); !ok || got.Counter != s.Counter || !bytes.Equal(got.Ckpt, s.Ckpt) {
+			t.Fatalf("worker %d recovered %+v (ok=%v), want %+v", s.Worker, got, ok, s)
+		}
+	}
+	// Compact the recovered state, with worker 1 saved ckptCompactEvery
+	// times more, and decode the snapshot as a plain JSON reader would.
+	last := uint32(10 + ckptCompactEvery - 1)
+	for c := uint32(10); c <= last; c++ {
+		if err := cs.Save(1, c, tinyCheckpoint(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs.Close()
+	data, err = os.ReadFile(filepath.Join(dir, ckptSnapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []SavedCheckpoint
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	want := []SavedCheckpoint{snap[1], {Worker: 1, Counter: last, Ckpt: compactOf(t, tinyCheckpoint(last))}, snap[0]}
+	if len(back) != len(want) {
+		t.Fatalf("snapshot holds %d workers, want %d", len(back), len(want))
+	}
+	for i := range want {
+		if back[i].Worker != want[i].Worker || back[i].Counter != want[i].Counter || !bytes.Equal(back[i].Ckpt, want[i].Ckpt) {
+			t.Fatalf("snapshot entry %d = %+v, want %+v", i, back[i], want[i])
+		}
+	}
+}
+
 // v1Record and v1Checkpoint are the version-1 JSON forms of a WAL
 // record and of the checkpoint inside it, decoded here exactly as
 // version 1 decoded them.
@@ -433,16 +564,7 @@ func TestCheckpointStoreDirSyncFailureKeepsWAL(t *testing.T) {
 // Both counters recover, both sealed blobs restore, and signing resumes
 // right past them; a compact record saved on top then wins over both.
 func TestCheckpointStoreV1StateDir(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"wal.log", ckptSnapshotName} {
-		b, err := os.ReadFile(filepath.Join("testdata", "v1-state", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := v1StateDir(t)
 	cs, err := OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -681,16 +803,7 @@ func TestCheckpointStoreV1StateCrashCopies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots real enclave boards")
 	}
-	dir := t.TempDir()
-	for _, name := range []string{"wal.log", ckptSnapshotName} {
-		b, err := os.ReadFile(filepath.Join("testdata", "v1-state", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := v1StateDir(t)
 	cs, err := OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -1059,29 +1172,33 @@ func BenchmarkCheckpointStoreSave(b *testing.B) {
 // the enclave sign, then the seal, WAL save with fsync and rebase of
 // every durable sign, with compaction amortised in. Two unmeasured
 // signs first grow the worker's reused checkpoint and WAL frames, so
-// even -benchtime 1x reads the steady state. Run it with -benchmem; its
-// bytes/op is what a durable sign allocates, HTTP request and response
-// included.
+// even -benchtime 1x reads the steady state. Run it with -benchmem.
+// The httptest variant builds a request and a recorder per sign, so its
+// bytes/op includes them; the handler variant reuses one request and a
+// discarding ResponseWriter, so its bytes/op is the server's own.
 func BenchmarkDurableSign(b *testing.B) {
-	cs, err := OpenCheckpointStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cs.Close()
-	p, err := pool.New(pool.Config{Size: 1, Boot: Blueprint(1), Provision: RestoreProvision(cs)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close(context.Background())
-	srv := New(Config{Pool: p, Checkpoints: cs})
-	doc := []byte("a document to notarise")
-	sign := func() {
-		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/notary/sign", bytes.NewReader(doc)))
-		if w.Code != http.StatusOK {
-			b.Fatalf("sign: status %d: %s", w.Code, w.Body)
-		}
-	}
+	b.Run("httptest", func(b *testing.B) {
+		srv := durableSignServer(b)
+		doc := []byte("a document to notarise")
+		benchSigns(b, func() {
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/notary/sign", bytes.NewReader(doc)))
+			if w.Code != http.StatusOK {
+				b.Fatalf("sign: status %d: %s", w.Code, w.Body)
+			}
+		})
+	})
+	b.Run("handler", func(b *testing.B) {
+		sign := handlerSign(b, durableSignServer(b), []byte("a document to notarise"))
+		benchSigns(b, func() {
+			if code := sign(); code != http.StatusOK {
+				b.Fatalf("sign: status %d", code)
+			}
+		})
+	})
+}
+
+func benchSigns(b *testing.B, sign func()) {
 	sign()
 	sign()
 	b.ReportAllocs()
@@ -1089,4 +1206,57 @@ func BenchmarkDurableSign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sign()
 	}
+}
+
+// durableSignServer is a server over a one-worker pool with a durable
+// store in a fresh directory, all closed when tb ends.
+func durableSignServer(tb testing.TB) *Server {
+	tb.Helper()
+	cs, err := OpenCheckpointStore(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cs.Close() })
+	p, err := pool.New(pool.Config{Size: 1, Boot: Blueprint(1), Provision: RestoreProvision(cs)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { p.Close(context.Background()) })
+	return New(Config{Pool: p, Checkpoints: cs})
+}
+
+// handlerSign returns a function that POSTs doc to srv's
+// /v1/notary/sign and returns the status. Every call reuses one request,
+// its body reset to doc, and one discardWriter, so what a call allocates
+// is the server's own.
+func handlerSign(tb testing.TB, srv *Server, doc []byte) func() int {
+	body := bytes.NewReader(doc)
+	req := httptest.NewRequest(http.MethodPost, "/v1/notary/sign", body)
+	w := &discardWriter{h: make(http.Header)}
+	return func() int {
+		body.Reset(doc)
+		w.code = 0
+		srv.ServeHTTP(w, req)
+		return w.code
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps the status and one header
+// map and drops the body.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header { return w.h }
+
+func (w *discardWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return len(p), nil
 }

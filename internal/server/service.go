@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/batch"
@@ -37,6 +38,9 @@ type WorkerState struct {
 	// into, reused from sign to sign: Save copies it into its WAL frame,
 	// and the worker is checked out for the whole seal and save.
 	ckpt komodo.Checkpoint
+	// words is NotarySign's document in the notary's wire format, then
+	// the counter, reused from sign to sign like ckpt.
+	words []uint32
 }
 
 // NotarySharedPages sizes the notary's shared region; documents up to
@@ -225,7 +229,8 @@ type Notarisation struct {
 // the notary's enclave crossings land on it as spans.
 func NotarySign(ctx context.Context, st *WorkerState, doc []byte) (Notarisation, error) {
 	var out Notarisation
-	words := docWords(doc)
+	words := appendDocWords(st.words[:0], doc)
+	st.words = words
 	if err := st.Notary.WriteShared(0, 0, words); err != nil {
 		return out, err
 	}
@@ -239,9 +244,9 @@ func NotarySign(ctx context.Context, st *WorkerState, doc []byte) (Notarisation,
 		return out, err
 	}
 	copy(out.MAC[:], mac)
+	st.words = append(words, out.Counter) // the digest's input
 	h := sha2.New()
-	h.WriteWords(words)
-	h.WriteWords([]uint32{out.Counter})
+	h.WriteWords(st.words)
 	out.Digest = h.SumWords()
 	return out, nil
 }
@@ -269,17 +274,20 @@ func BatchSign(ctx context.Context, st *WorkerState, root [8]uint32) (Notarisati
 	return out, nil
 }
 
-// docWords converts document bytes to the notary's wire format: big-endian
-// words, zero-padded to a whole number of 16-word SHA-256 blocks (at
-// least one).
-func docWords(doc []byte) []uint32 {
-	blocks := (len(doc) + 63) / 64
-	if blocks == 0 {
-		blocks = 1
+// appendDocWords appends doc in the notary's wire format to dst:
+// big-endian words, zero-padded to a whole number of 16-word SHA-256
+// blocks (at least one).
+func appendDocWords(dst []uint32, doc []byte) []uint32 {
+	n := 16 * max((len(doc)+63)/64, 1)
+	dst = slices.Grow(dst, n)
+	for i := range n {
+		var w [4]byte
+		if 4*i < len(doc) {
+			copy(w[:], doc[4*i:])
+		}
+		dst = append(dst, binary.BigEndian.Uint32(w[:]))
 	}
-	padded := make([]byte, blocks*64)
-	copy(padded, doc)
-	return sha2.BytesToWords(padded)
+	return dst
 }
 
 // EncodeWords renders 8 words as the canonical 64-char hex string used in

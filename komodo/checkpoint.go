@@ -64,17 +64,20 @@ const (
 )
 
 // AppendCompact appends the checkpoint's compact binary form to dst and
-// returns the extended slice, growing dst at most once.
+// returns the extended slice. The manifest's JSON is encoded straight
+// into dst, so a dst with room for the record is not grown.
 func (c *Checkpoint) AppendCompact(dst []byte) ([]byte, error) {
-	man, err := json.Marshal(c.Manifest)
-	if err != nil {
-		return nil, err
-	}
-	dst = slices.Grow(dst, compactHead+len(man)+4+4*len(c.Blob))
 	dst = append(dst, compactMagic...)
 	dst = binary.BigEndian.AppendUint32(dst, compactVersion)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(man)))
-	dst = append(dst, man...)
+	at := len(dst)
+	man := appender{binary.BigEndian.AppendUint32(dst, 0)}
+	if err := json.NewEncoder(&man).Encode(&c.Manifest); err != nil {
+		return nil, err
+	}
+	// Encode ends the value with a newline that Marshal does not write.
+	dst = man.b[:len(man.b)-1]
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	dst = slices.Grow(dst, 4+4*len(c.Blob))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(c.Blob)))
 	off := len(dst)
 	dst = dst[:off+4*len(c.Blob)]
@@ -82,6 +85,14 @@ func (c *Checkpoint) AppendCompact(dst []byte) ([]byte, error) {
 		binary.BigEndian.PutUint32(dst[off+4*i:], w)
 	}
 	return dst, nil
+}
+
+// appender is an io.Writer that appends to b.
+type appender struct{ b []byte }
+
+func (a *appender) Write(p []byte) (int, error) {
+	a.b = append(a.b, p...)
+	return len(p), nil
 }
 
 // UnmarshalCheckpoint decodes either form: MarshalBinary's JSON

@@ -215,6 +215,49 @@ func seedCheckpoint() *komodo.Checkpoint {
 	}
 }
 
+// TestAppendCompactBytes: the compact form is the magic, the version,
+// the manifest's json.Marshal bytes behind their length, the blob's word
+// count and its words, appended after whatever dst held.
+func TestAppendCompactBytes(t *testing.T) {
+	c := seedCheckpoint()
+	man, err := json.Marshal(c.Manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("head" + "KCKP")
+	want = binary.BigEndian.AppendUint32(want, 2)
+	want = binary.BigEndian.AppendUint32(want, uint32(len(man)))
+	want = append(want, man...)
+	want = binary.BigEndian.AppendUint32(want, uint32(len(c.Blob)))
+	for _, w := range c.Blob {
+		want = binary.BigEndian.AppendUint32(want, w)
+	}
+	for _, dst := range [][]byte{[]byte("head"), append(make([]byte, 0, 1<<10), "head"...)} {
+		got, err := c.AppendCompact(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendCompact(cap %d) = %q, want %q", cap(dst), got, want)
+		}
+	}
+}
+
+// TestAppendCompactAllocations: into a dst with room for the record,
+// AppendCompact encodes the manifest in place. Its one allocation is
+// the writer the JSON encoder appends through, not the manifest's bytes.
+func TestAppendCompactAllocations(t *testing.T) {
+	if !allocFree {
+		t.Skip("allocations are counted without -race")
+	}
+	c := seedCheckpoint()
+	buf := make([]byte, 0, 1<<10)
+	var err error
+	if n := testing.AllocsPerRun(100, func() { buf, err = c.AppendCompact(buf[:0]) }); n > 1 || err != nil {
+		t.Fatalf("AppendCompact into a buffer with room: %v allocations (err %v), want at most 1", n, err)
+	}
+}
+
 // FuzzUnmarshalCheckpoint feeds UnmarshalCheckpoint arbitrary bytes,
 // seeded with both forms. It must never panic, never return more blob
 // than the input carries, and whatever it accepts must round-trip
